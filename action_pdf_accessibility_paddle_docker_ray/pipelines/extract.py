@@ -3,21 +3,26 @@
 Two physical plans for the same logical job:
 
 - ``regroup="colocate"`` (default, **no all-to-all**):
-  ``read_parquet(url, warc_ts, html)`` → stale-crawl filter (broadcast
-  semi-join against a tiny (url, max warc_ts) winner map; above the
-  broadcast bound or on same-max-ts conflicts, a fixed-size dup-url Bloom
-  filter splits the stream and only maybe-dup rows pay a grouped dedup
-  exchange — ``functions/bloom.py``) → ``DocProcessor``
+  ``read_parquet(url, warc_ts, html)`` → stale-crawl filter → ``DocProcessor``
   ACTOR POOL (doc parse → page loop → detect → resolve → reading order →
   text extract → template assembly, all per input row = per document) →
   partitioned parquet.  A document never spans blocks, so per-url assembly
   needs no exchange; stale duplicate crawls were filtered before any
-  payload was touched.
+  payload was touched.  The stale-crawl filter keeps the latest crawl per
+  url, ties broken on ``content_key``, by one of three routes that
+  ``_stale_filter`` picks from a winner scan:
+  none (no url crawled twice), dict (broadcast semi-join against a small
+  ``{url: max warc_ts}`` map plus the winning ``content_key`` of every url
+  whose max warc_ts is shared — one read, no exchange), or Bloom (only
+  when no broadcast can decide: a winner map over the broadcast bound, or
+  exact-duplicate rows; a fixed-size dup-url Bloom filter splits the
+  stream and only maybe-dup rows pay a grouped dedup exchange —
+  ``functions/bloom.py``).
 - ``regroup="sort"`` (page-parallel): doc-aligned page fan-out (task) →
   ``PageProcessor`` actor pool over page rows → ``sort(url)`` exchange →
   block-local assembly.  Spreads a single enormous document across the
-  whole pool and tolerates same-timestamp conflicting duplicates; costs
-  the one output-sized all-to-all (measured ~1.8x slower end-to-end).
+  whole pool; costs the one output-sized all-to-all (measured ~1.8x
+  slower end-to-end).
 
 Scale design notes (100 TB / multi-node):
 - columns pruned at the read: only (url, warc_ts, html) leave storage;
@@ -26,14 +31,16 @@ Scale design notes (100 TB / multi-node):
   (reference: one sequential page loop per process,
   /root/reference/src/autotag.py:123-138);
 - the processing pool loads per-worker state once (``__init__``), sized to
-  leave CPUs for read/write (see ``_default_concurrency``);
+  leave CPUs for read/write (see ``_default_concurrency``/``_actor_cpus``);
 - everything streams: no take_all/to_pandas/materialize on the main path;
   consume with write_parquet / iter_batches or the helpers below.
 """
 
 from __future__ import annotations
 
+import math
 import os
+from dataclasses import dataclass, field
 from typing import Any
 
 import ray
@@ -43,7 +50,7 @@ from .. import ensure_picklable
 from ..sources.pages import read_pages
 from ..stages.assemble_stage import make_assemble_block
 from ..stages.dedup import dedup_latest
-from ..stages.fanout import fanout_pages
+from ..stages.fanout import content_key, fanout_pages
 from ..stages.process import DocProcessor, PageProcessor
 
 DOC_COLUMNS = [
@@ -52,22 +59,38 @@ DOC_COLUMNS = [
 ]
 
 
-def _default_concurrency(reserve_div: int = 8) -> tuple[int, int]:
+def _cluster_cpus() -> int:
     try:
-        cpus = int(ray.cluster_resources().get("CPU", 8))
+        return int(ray.cluster_resources().get("CPU", 8))
     except Exception:  # pragma: no cover - cluster not yet up
-        cpus = 8
+        return 8
+
+
+def _default_concurrency(reserve_div: int = 8) -> tuple[int, int]:
+    cpus = _cluster_cpus()
     # fixed pool at cpus - max(1, cpus/reserve_div): measured best — the
     # default autoscaler (upscale only at 2x queue pressure) wastes the
     # whole ramp on short jobs, and a pool reserving EVERY cpu starves the
     # read/write stages (33s vs 7s at 32 cpus for the same job).  The
-    # reserve covers read, write and the driver; never reserve every CPU
-    # (read tasks would never schedule → deadlock on tiny sessions).
+    # reserve covers read, write and the driver; at 1 CPU the one actor
+    # shares the core (``_actor_cpus``).
     # The Bloom route passes reserve_div=4: its two read passes + the
     # maybe-dup exchange need real CPU share, and a 7/8 pool starves them
     # (measured 123 s vs 87 s on the 149k-row 25%-dup corpus at 32 cpus).
     size = max(1, min(cpus - 1, cpus - max(1, cpus // reserve_div)))
     return (size, size)
+
+
+def _actor_cpus(concurrency: Any) -> float:
+    """CPU claim of one processing actor: 1, unless the pool's minimum size
+    would claim every CPU — then the pool shares ``cpus - 1`` so read and
+    write tasks still schedule (at 1 CPU the actor claims none and
+    time-shares the core; a full claim there never lets a read task run)."""
+    lo = concurrency if isinstance(concurrency, int) else concurrency[0]
+    share = max(0, _cluster_cpus() - 1) / max(1, lo)
+    # rounded down to Ray's 1e-4 resource unit: rounding up would let the
+    # pool's claims add up past cpus - 1
+    return min(1, math.floor(share * 1e4) / 1e4)
 
 
 _SMALL_INPUT_BYTES = 1 << 30  # below this, the winner scan is one task
@@ -78,16 +101,44 @@ _SMALL_INPUT_BYTES = 1 << 30  # below this, the winner scan is one task
 # exchange for the (dup + false-positive) maybe stream only.
 _WINNER_BROADCAST_MAX = 2_000_000
 
-FALLBACK_SORT = "fallback_sort"
+
+@dataclass
+class StaleRoute:
+    """The stale-crawl filter's decision, as ``_stale_filter`` returns it.
+
+    ``route`` is "none", "dict" or "bloom"; ``dup_urls`` counts urls crawled
+    more than once, ``tied_urls`` those whose max warc_ts is shared by ≥2
+    crawls, ``exact_dup_urls`` the tied urls whose winning crawl is on ≥2
+    identical rows (None when the map was too large to resolve ties);
+    ``bloom_reason`` says why the Bloom route ran: "oversized_map" or
+    "exact_duplicates".  On the dict route ``winners_ref`` is the ObjectRef
+    of ``({url: max_ts_us}, {tied url: winning content_key})``."""
+
+    route: str = "none"
+    dup_urls: int = 0
+    tied_urls: int = 0
+    exact_dup_urls: int | None = 0
+    bloom_reason: str | None = None
+    winners_ref: Any = field(default=None, repr=False)
+
+    def summary(self) -> dict:
+        return {
+            "route": self.route, "dup_urls": self.dup_urls,
+            "tied_urls": self.tied_urls, "exact_dup_urls": self.exact_dup_urls,
+            "bloom_reason": self.bloom_reason,
+        }
 
 
-class BloomRoute:
-    """Stale-filter verdict: broadcast the dup-url Bloom filter, split the
-    stream into definitely-unique rows (no exchange) and maybe-dup rows
-    (grouped dedup exchange over only those rows)."""
+@dataclass
+class BloomRoute(StaleRoute):
+    """Bloom verdict: broadcast the dup-url Bloom filter, split the stream
+    into definitely-unique rows (no exchange) and maybe-dup rows (grouped
+    dedup exchange over only those rows, read from every file of the
+    scanned source, ``files``)."""
 
-    def __init__(self, bloom_ref: Any) -> None:
-        self.bloom_ref = bloom_ref
+    route: str = "bloom"
+    bloom_ref: Any = field(default=None, repr=False)
+    files: list = field(default_factory=list, repr=False)
 
 
 def _merge_winner_partials(df):
@@ -105,12 +156,198 @@ def _merge_winner_partials(df):
     )
 
 
-def _bloom_from_dups(dups_ds: "ray.data.Dataset", n_dups: int) -> BloomRoute:
+def _winner_partials(df):
+    """Per-url (max_ts, n_at_max, n) of one (url, warc_ts) frame."""
+    import pandas as pd
+
+    ts = df["warc_ts"].astype("datetime64[us]").astype("int64")
+    d = pd.DataFrame({"url": df["url"].to_numpy(), "ts_us": ts.to_numpy()})
+    mx = d.groupby("url", sort=False)["ts_us"].transform("max")
+    d["at_max"] = (d["ts_us"] == mx).astype("int64")
+    g = d.groupby("url", sort=False).agg(
+        max_ts=("ts_us", "max"), n_at_max=("at_max", "sum"), n=("ts_us", "size")
+    )
+    return g.reset_index()
+
+
+def _max_ts_keys(t, max_ts: dict):
+    """(url, key) for the rows of a (url, warc_ts, html) table that sit at
+    their url's max warc_ts; ``content_key`` is hashed for those rows only."""
+    import pandas as pd
+    import pyarrow as pa
+    import pyarrow.compute as pc
+
+    urls = t.column("url").to_pandas()
+    ts_us = pc.cast(t.column("warc_ts"), pa.int64()).to_numpy()
+    at_max = urls.map(max_ts).to_numpy() == ts_us
+    html = t.column("html").filter(pa.array(at_max)).to_pylist()
+    return pd.DataFrame(
+        {"url": urls.to_numpy()[at_max], "key": [content_key(h) for h in html]}
+    )
+
+
+def _tie_winners(keys) -> tuple[dict, int]:
+    """Winning (largest) content_key per tied url, and how many tied urls
+    carry that key on ≥2 rows — exact duplicates, which no broadcast can
+    thin to one copy."""
+    top = keys.groupby(["url", "key"]).size().groupby(level="url").tail(1)
+    return dict(top.index.tolist()), int((top > 1).sum())
+
+
+def _tie_keys_scan(path: list, dups) -> "tuple[dict, int] | None":
+    """Tie winners from a one-process read of (url, warc_ts, html), pushed
+    down to the tied urls; None when no url is tied."""
+    import pyarrow.compute as pc
+    import pyarrow.dataset as pads
+
+    tied = dups[dups["n_at_max"] > 1]
+    if len(tied) == 0:
+        return None
+    max_ts = dict(zip(tied["url"], tied["max_ts"]))
+    t = pads.dataset(path).to_table(
+        columns=["url", "warc_ts", "html"], filter=pc.field("url").isin(list(max_ts))
+    )
+    return _tie_winners(_max_ts_keys(t, max_ts))
+
+
+def _source_files(source: "str | list") -> list:
+    """Absolute paths of the parquet files under ``source``."""
+    import pyarrow.dataset as pads
+
+    return [os.path.abspath(f) for f in pads.dataset(source).files]
+
+
+def _stale_filter(source: "str | list") -> StaleRoute:
+    """Semi-join dedup prep: find urls crawled more than once, their
+    winning warc_ts and — for urls whose max warc_ts is shared by ≥2 crawls
+    — the winning ``content_key``.  The scan reads (url, warc_ts) only
+    (~1% of the bytes); the html of the tied urls alone is read back
+    through an ``isin`` pushdown and hashed.
+
+    Small inputs (≤1 GiB): one Ray task does the columnar scan + pandas
+    groupby (no sub-pipeline startup).  Large inputs: a distributed
+    per-batch partial aggregate + one grouped merge over (url, partial)
+    rows; the dup and tie counts are computed DISTRIBUTED, so nothing
+    bigger than a per-block count row reaches the driver until the winner
+    map is proven small; then a filtered ``read_pages`` hashes the tied
+    rows and the driver takes the max key per url.  Both paths reach the
+    same decision for the same input.
+
+    Returns a ``StaleRoute`` (``.summary()`` is the decision record):
+    - route "none": no duplicate urls; nothing to filter;
+    - route "dict": ``winners_ref`` broadcasts ``{url: max_ts_us}`` and the
+      tie keys as one object; ``_make_drop_stale`` keeps exactly one row
+      per url, no exchange;
+    - ``BloomRoute``: the winner map is over ``_WINNER_BROADCAST_MAX``, or
+      a tied url's winning crawl sits on ≥2 identical rows (only an
+      exchange keeps exactly one copy): broadcast the fixed-size dup-url
+      Bloom filter; the caller pays the grouped dedup exchange
+      (content_key tie-break included) for maybe-dup rows only.
+    """
+    files = _source_files(source)
+    total_bytes = sum(os.path.getsize(f) for f in files)
+    bound = _WINNER_BROADCAST_MAX
+
+    if total_bytes <= _SMALL_INPUT_BYTES:
+        @ray.remote(num_cpus=1)
+        def scan_winners(path: list, bound: int):
+            import pyarrow.dataset as pads2
+
+            t = pads2.dataset(path).to_table(columns=["url", "warc_ts"])
+            out = _winner_partials(t.to_pandas())
+            dups = out[out["n"] > 1]
+            # over the bound the Bloom route resolves ties itself
+            return dups, _tie_keys_scan(path, dups) if len(dups) <= bound else None
+
+        dups, ties = ray.get(scan_winners.remote(files, bound))
+        n_dups, n_tied = len(dups), int((dups["n_at_max"] > 1).sum())
+        dups_ds = None
+    else:
+        dups_ds, n_dups, n_tied = _distributed_dups(files)
+        dups, ties = None, None
+        if 0 < n_dups <= bound:
+            dups = dups_ds.to_pandas()  # proven bounded before materializing
+            ties = _tie_keys_distributed(files, dups)
+
+    counts = dict(dup_urls=n_dups, tied_urls=n_tied)
+    if n_dups == 0:
+        return StaleRoute("none")
+    if n_dups > bound:
+        reason, n_exact = "oversized_map", None
+    else:
+        tie_keys, n_exact = ties or ({}, 0)
+        if n_exact == 0:
+            max_ts = dict(zip(dups["url"], dups["max_ts"].astype("int64")))
+            return StaleRoute(
+                "dict", winners_ref=ray.put((max_ts, tie_keys)), **counts
+            )
+        reason = "exact_duplicates"
+    if dups_ds is None:
+        from ..functions.bloom import UrlBloom
+
+        bloom = UrlBloom(len(dups))
+        bloom.add(dups["url"].to_numpy())
+        bloom_ref = ray.put(bloom)
+    else:
+        bloom_ref = _bloom_from_dups(dups_ds, n_dups)
+    return BloomRoute(
+        exact_dup_urls=n_exact, bloom_reason=reason, bloom_ref=bloom_ref,
+        files=files, **counts,
+    )
+
+
+def _distributed_dups(files: list) -> tuple:
+    """Distributed winner table of the duplicated urls, plus its dup and
+    tie counts (the driver sees per-BLOCK count rows only)."""
+    import pandas as pd
+    import pyarrow.compute as pc
+
+    from .util import grouped_block_map
+
+    merged = grouped_block_map(
+        read_pages(files, columns=["url", "warc_ts"]).map_batches(
+            _winner_partials, batch_format="pandas"
+        ),
+        ["url"],
+        _merge_winner_partials,
+    )
+    dups_ds = merged.map_batches(
+        lambda t: t.filter(pc.greater(t["n"], 1)), batch_format="pyarrow"
+    ).materialize()  # winner table: consumed 2-3 times; lives in the object
+    # store (distributed), bounded by the dup-url count — never the input
+
+    def count_block(df: pd.DataFrame) -> pd.DataFrame:
+        return pd.DataFrame({"n": [len(df)], "tied": [int((df["n_at_max"] > 1).sum())]})
+
+    counts = dups_ds.map_batches(count_block, batch_format="pandas").to_pandas()
+    return dups_ds, int(counts["n"].sum()), int(counts["tied"].sum())
+
+
+def _tie_keys_distributed(files: list, dups) -> "tuple[dict, int] | None":
+    """Tie winners via a ``read_pages`` filtered to the tied urls; the
+    driver takes the max key per url over the (url, key) rows."""
+    import pyarrow.compute as pc
+
+    tied = dups[dups["n_at_max"] > 1]
+    if len(tied) == 0:
+        return None
+    max_ts = dict(zip(tied["url"], tied["max_ts"]))
+    max_ts_ref = ray.put(max_ts)
+    keys = read_pages(
+        files, filter_expr=pc.field("url").isin(list(max_ts))
+    ).map_batches(
+        lambda t: _max_ts_keys(t, ray.get(max_ts_ref)), batch_format="pyarrow"
+    ).to_pandas()
+    return _tie_winners(keys)
+
+
+def _bloom_from_dups(dups_ds: "ray.data.Dataset", n_dups: int) -> Any:
     """Build the dup-url Bloom filter from the DISTRIBUTED winner table.
 
     Each block maps its urls to probe positions (a tiny uint64 array, k
     ints per url); the driver streams those batches and ORs bits into the
-    one fixed-size bitmap — it never holds a url, only the filter."""
+    one fixed-size bitmap — it never holds a url, only the filter.
+    Returns the ObjectRef of the filter."""
     import pandas as pd
 
     from ..functions.bloom import UrlBloom, bloom_positions
@@ -125,112 +362,28 @@ def _bloom_from_dups(dups_ds: "ray.data.Dataset", n_dups: int) -> BloomRoute:
     pos_ds = dups_ds.map_batches(positions, batch_format="pandas")
     for batch in pos_ds.iter_batches(batch_format="numpy"):
         bloom.set_positions(batch["pos"])
-    return BloomRoute(ray.put(bloom))
-
-
-def _stale_filter(source: str) -> Any:
-    """Semi-join dedup prep: find urls crawled more than once and their
-    winning warc_ts via a (url, warc_ts)-ONLY scan — a second read of just
-    two pruned columns (cheap even at 100 TB: ~1% of the bytes).
-
-    Small inputs (≤1 GiB): one Ray task does a columnar scan + pandas
-    groupby (no sub-pipeline startup).  Large inputs: a distributed
-    per-batch partial aggregate + one grouped merge over (url, partial)
-    rows; the dup counts and the conflict check are computed DISTRIBUTED,
-    so nothing bigger than a per-block count row reaches the driver until
-    the winner map is proven small.
-
-    Returns:
-    - ``None`` — no duplicate urls; nothing to filter;
-    - a ``ray.ObjectRef`` of ``{url: max_ts_us}`` for duplicated urls
-      (broadcast once, read per task) — only when the map is under the
-      broadcast bound AND no url has ≥2 crawls sharing the max warc_ts
-      (a ts-only dict cannot disambiguate those);
-    - ``BloomRoute`` — winner map too large to broadcast, or same-max-ts
-      conflicts present: broadcast only the fixed-size dup-url Bloom
-      filter; the caller splits the stream and pays the grouped dedup
-      exchange (content_key tie-break included) for maybe-dup rows only.
-    """
-    import pandas as pd
-    import pyarrow.dataset as pads
-
-    fragments = list(pads.dataset(source).files)
-    total_bytes = sum(os.path.getsize(f) for f in fragments)
-
-    def partials(df: pd.DataFrame) -> pd.DataFrame:
-        ts = df["warc_ts"].astype("datetime64[us]").astype("int64")
-        d = pd.DataFrame({"url": df["url"].to_numpy(), "ts_us": ts.to_numpy()})
-        mx = d.groupby("url", sort=False)["ts_us"].transform("max")
-        d["at_max"] = (d["ts_us"] == mx).astype("int64")
-        g = d.groupby("url", sort=False).agg(
-            max_ts=("ts_us", "max"), n_at_max=("at_max", "sum"), n=("ts_us", "size")
-        )
-        return g.reset_index()
-
-    if total_bytes <= _SMALL_INPUT_BYTES:
-        @ray.remote(num_cpus=1)
-        def scan_winners(path: str) -> pd.DataFrame:
-            import pyarrow.dataset as pads2
-
-            t = pads2.dataset(path).to_table(columns=["url", "warc_ts"])
-            out = partials(t.to_pandas())
-            return out[out["n"] > 1]
-
-        dups = ray.get(scan_winners.remote(source))
-        if len(dups) == 0:
-            return None
-        if not (dups["n_at_max"] > 1).any() and len(dups) <= _WINNER_BROADCAST_MAX:
-            return ray.put(dict(zip(dups["url"], dups["max_ts"].astype("int64"))))
-        from ..functions.bloom import UrlBloom
-
-        bloom = UrlBloom(len(dups))
-        bloom.add(dups["url"].to_numpy())
-        return BloomRoute(ray.put(bloom))
-
-    from .util import grouped_block_map
-
-    merged = grouped_block_map(
-        read_pages(source, columns=["url", "warc_ts"]).map_batches(
-            partials, batch_format="pandas"
-        ),
-        ["url"],
-        _merge_winner_partials,
-    )
-    import pyarrow.compute as pc
-
-    dups_ds = merged.map_batches(
-        lambda t: t.filter(pc.greater(t["n"], 1)), batch_format="pyarrow"
-    ).materialize()  # winner table: consumed 2-3 times; lives in the object
-    # store (distributed), bounded by the dup-url count — never the input
-
-    def count_block(df: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame(
-            {"n": [len(df)], "conflicts": [int((df["n_at_max"] > 1).sum())]}
-        )
-
-    counts = dups_ds.map_batches(count_block, batch_format="pandas").to_pandas()
-    n_dups = int(counts["n"].sum())  # driver sees per-BLOCK counts only
-    n_conflicts = int(counts["conflicts"].sum())
-    if n_dups == 0:
-        return None
-    if n_conflicts == 0 and n_dups <= _WINNER_BROADCAST_MAX:
-        dups = dups_ds.to_pandas()  # proven bounded before materializing
-        return ray.put(dict(zip(dups["url"], dups["max_ts"].astype("int64"))))
-    return _bloom_from_dups(dups_ds, n_dups)
+    return ray.put(bloom)
 
 
 def _make_drop_stale(winners_ref: Any):
+    import numpy as np
     import pandas as pd
     import pyarrow as pa
     import pyarrow.compute as pc
 
     def drop_stale(t: pa.Table) -> pa.Table:
-        winners = ray.get(winners_ref)
+        max_ts, tie_keys = ray.get(winners_ref)
         urls = pd.Series(t.column("url").to_pandas())
         ts_us = pc.cast(t.column("warc_ts"), pa.int64()).to_pandas().to_numpy()
         # vectorized semi-join: hash-map lookup per column, no Python loop
-        win_ts = urls.map(winners).to_numpy()
+        win_ts = urls.map(max_ts).to_numpy()
         keep = pd.isna(win_ts) | (win_ts == ts_us)
+        if tie_keys:
+            # only the max-ts rows of tied urls are hashed
+            win_key = urls.map(tie_keys).to_numpy()
+            tied = np.flatnonzero(keep & pd.notna(win_key))
+            html = t.column("html").take(pa.array(tied, pa.int64())).to_pylist()
+            keep[tied] = [content_key(h) == win_key[i] for h, i in zip(html, tied)]
         return t.filter(pa.array(keep, pa.bool_()))
 
     return drop_stale
@@ -247,6 +400,21 @@ def _make_bloom_split(bloom_ref: Any, keep_hits: bool):
         return t.filter(pa.array(hits if keep_hits else ~hits, pa.bool_()))
 
     return split
+
+
+def _make_keep_files(files: list):
+    """Keep the rows read from ``files`` (the ``path`` column that
+    ``include_paths`` adds), then drop that column."""
+    import pyarrow as pa
+    import pyarrow.compute as pc
+
+    value_set = pa.array(sorted(files), pa.string())
+
+    def keep_files(t: pa.Table) -> pa.Table:
+        t = t.filter(pc.is_in(t.column("path"), value_set=value_set))
+        return t.drop_columns(["path"])
+
+    return keep_files
 
 
 def extract_pipeline(
@@ -273,11 +441,11 @@ def extract_pipeline(
     stage only (the north-star GPU-pinned batched inference seam) — passed
     straight to the actor-pool ``map_batches``; with ``num_gpus`` set the
     stage stops claiming a CPU slot (``num_cpus=0``) so the GPU actors and
-    the CPU read/assemble stages don't contend for the same slots.  The
-    CPU default (``num_cpus=1``) is unchanged when both are None.  On this
-    sandbox (no GPU) the kwargs are exercised structurally (a test asserts
-    they reach ``map_batches``); on a real cluster they pin one detector
-    actor per GPU.
+    the CPU read/assemble stages don't contend for the same slots.  When
+    both are None each actor claims one CPU (``_actor_cpus``: less only
+    when the pool would otherwise hold every CPU).  Without a GPU the
+    kwargs are exercised structurally (a test asserts they reach
+    ``map_batches``); on a GPU cluster they pin one detector actor per GPU.
 
     ``output``: "json" (default) emits the public docs contract
     (``spans_json``/``formulas_json`` strings, byte-identical per url to
@@ -290,22 +458,27 @@ def extract_pipeline(
     ``regroup``:
     - "colocate" (default): NO output shuffle.  The fan-out yields
       doc-aligned blocks (all pages of a url in one block), so assembly is
-      block-local.  Requires ``dedup="late"`` semantics handled by the
-      semi-join stale filter; when the winner scan detects a url with ≥2
-      crawls sharing the max warc_ts (which a ts-only dict cannot
-      disambiguate) or a winner map too large to broadcast, the plan
-      AUTO-SWITCHES to the Bloom route: broadcast a fixed-size dup-url
-      bit filter, stream unique rows exchange-free, and run the grouped
-      dedup (exact, content_key tie-break) over maybe-dup rows only.
+      block-local.  With ``dedup="late"`` the stale crawls are dropped by
+      the route ``_stale_filter`` picks: nothing (no duplicate url), the
+      dict route (read → ``drop_stale`` → ``DocProcessor`` → write; same-
+      max-ts ties are settled by the broadcast winning ``content_key``),
+      or — only for a winner map over the broadcast bound or for
+      exact-duplicate rows — the Bloom route: stream unique rows
+      exchange-free and run the grouped dedup (exact, content_key
+      tie-break) over maybe-dup rows only.
     - "sort": classic sort("url") exchange before assembly (the same
       guarantee Ray's map_groups uses; a keyed hash repartition was
       measured 1.7x slower end-to-end on this Ray version).
 
     ``dedup``: "late" (default) resolves stale crawls without shuffling
-    payloads — via the broadcast semi-join in "colocate" mode and inside
+    payloads — via the stale-crawl filter in "colocate" mode and inside
     the assembly groups in "sort" mode.  "early"/True adds the explicit
     ``groupby(url)`` payload dedup stage before processing (an extra
     all-to-all of the raw payload; only worth it at high duplicate rates).
+
+    ``_winners_ref``: a ``StaleRoute`` computed over a larger source that
+    contains this one (``run_resumable`` scans the whole source once and
+    runs it chunk by chunk); winners stay global either way.
     """
     ensure_picklable()
     is_path = isinstance(source, (str, list))
@@ -319,58 +492,58 @@ def extract_pipeline(
         model=model, zoom=zoom, thresholds=thresholds,
         process_table=process_table, process_formula=process_formula,
     )
-    # detector-stage resource pins (GPU seam): num_gpus displaces the CPU
-    # slot claim; custom resources (e.g. {"accelerator": 1}) pass through
-    detector_resources: dict[str, Any] = {
-        "num_cpus": 0 if num_gpus else 1,
-    }
-    if num_gpus is not None:
-        detector_resources["num_gpus"] = num_gpus
-    if resources is not None:
-        detector_resources["resources"] = resources
     if dedup == "early" or dedup is True:
         ds = dedup_latest(ds)
 
-    bloom_active = False
+    route = StaleRoute()
     if regroup == "colocate" and dedup == "late":
-        winners_ref = _winners_ref
-        if winners_ref is None and is_path:
-            winners_ref = _stale_filter(source)
-        if winners_ref == FALLBACK_SORT:
-            # explicit caller override (tests / `_winners_ref` injection):
-            # run the whole input through the sort plan
-            regroup = "sort"
-        elif isinstance(winners_ref, BloomRoute):
+        route = _winners_ref if _winners_ref is not None else _stale_filter(source)
+        if isinstance(route, BloomRoute):
             # maybe-dup-only exchange: definitely-unique rows (Bloom miss)
             # stream straight to the processor with NO exchange; maybe-dup
             # rows (Bloom hit — dups plus ~6e-4 false positives) pay the
             # grouped dedup, which resolves winners exactly, including
             # same-max-ts ties (content_key tie-break in dedup_latest).
-            # The payload is read twice (one pass per side) — at extreme
-            # dup rates that beats the sort plan's full-output all-to-all.
-            bref = winners_ref.bloom_ref
+            # The maybe side reads every file the scan saw, so a run over
+            # part of that source still keeps only global winners; the
+            # file path breaks exact-duplicate ties, so one file — one
+            # chunk — keeps the copy, and the rest are dropped.
+            bref = route.bloom_ref
             unique = ds.map_batches(
                 _make_bloom_split(bref, keep_hits=False),
                 batch_format="pyarrow", num_cpus=0.5,
             )
-            maybe = read_pages(source).map_batches(
+            maybe = read_pages(route.files, include_paths=True).map_batches(
                 _make_bloom_split(bref, keep_hits=True),
                 batch_format="pyarrow", num_cpus=0.5,
             )
-            # dedup_latest emits pandas blocks; normalize to Arrow so the
-            # union feeds the processor one homogeneous block type
+            # dedup_latest emits pandas blocks; this stage also normalizes
+            # them to Arrow so the union feeds one homogeneous block type
             resolved = dedup_latest(maybe).map_batches(
-                lambda t: t, batch_format="pyarrow", num_cpus=0.5
+                _make_keep_files(_source_files(source)),
+                batch_format="pyarrow", num_cpus=0.5,
             )
             ds = unique.union(resolved)
-            bloom_active = True
-        elif winners_ref is not None:
+        elif route.route == "dict":
             # num_cpus=0.5 keeps this a TASK stage (no fusion into the actor
             # pool): an ObjectRef captured in actor-constructor args breaks
             # actor restarts (ray#53727); task retries just re-fetch the ref
             ds = ds.map_batches(
-                _make_drop_stale(winners_ref), batch_format="pyarrow", num_cpus=0.5
+                _make_drop_stale(route.winners_ref), batch_format="pyarrow",
+                num_cpus=0.5,
             )
+
+    if concurrency is None:
+        concurrency = _default_concurrency(4 if route.route == "bloom" else 8)
+    # detector-stage resource pins (GPU seam): num_gpus displaces the CPU
+    # slot claim; custom resources (e.g. {"accelerator": 1}) pass through
+    detector_resources: dict[str, Any] = {
+        "num_cpus": 0 if num_gpus else _actor_cpus(concurrency),
+    }
+    if num_gpus is not None:
+        detector_resources["num_gpus"] = num_gpus
+    if resources is not None:
+        detector_resources["resources"] = resources
 
     if regroup == "colocate":
         # one actor stage: doc parse → page loop → detect → resolve →
@@ -381,9 +554,7 @@ def extract_pipeline(
             fn_constructor_kwargs=dict(stage_kwargs, output=output),
             batch_format="pyarrow",
             batch_size=batch_size,
-            concurrency=concurrency
-            if concurrency is not None
-            else _default_concurrency(4 if bloom_active else 8),
+            concurrency=concurrency,
             **detector_resources,
         )
 
@@ -404,7 +575,7 @@ def extract_pipeline(
         fn_constructor_kwargs=stage_kwargs,
         batch_format="pyarrow",
         batch_size=batch_size,
-        concurrency=concurrency if concurrency is not None else _default_concurrency(),
+        concurrency=concurrency,
         **detector_resources,
     )
     ds = ds.sort("url")

@@ -26,7 +26,9 @@ def best_per_url(df: pd.DataFrame) -> pd.DataFrame:
 
     The content hash is only computed for rows whose url is duplicated
     inside this frame — the common (unique-url) row never pays a hash of
-    its payload.
+    its payload.  A ``path`` column (``read_parquet(include_paths=True)``)
+    breaks exact-duplicate ties, so the kept copy does not depend on
+    block order.
     """
     if len(df) <= 1:
         return df
@@ -35,9 +37,8 @@ def best_per_url(df: pd.DataFrame) -> pd.DataFrame:
         return df
     ck = pd.Series("", index=df.index, dtype="object")
     ck[dup_mask] = [content_key(h) for h in df.loc[dup_mask, "html"]]
-    order = df.assign(_ck=ck).sort_values(
-        ["url", "warc_ts", "_ck"], kind="mergesort"
-    )
+    keys = ["url", "warc_ts", "_ck"] + (["path"] if "path" in df else [])
+    order = df.assign(_ck=ck).sort_values(keys, kind="mergesort")
     out = order.groupby("url", sort=False).tail(1)
     return out.drop(columns="_ck").reset_index(drop=True)
 

@@ -15,10 +15,12 @@ lineage + metrics".  Design (SURVEY.md §4 checkpoint row):
 - on restart, shards whose manifest fingerprint still matches are
   skipped (the anti-join on partition id); changed or missing shards are
   reprocessed and their old output replaced;
-- the dedup winner map is computed GLOBALLY (over all shards, from the
-  two pruned columns) once per run and broadcast to every chunk, so
-  duplicate urls across shards resolve identically no matter which chunk
-  runs when.
+- the stale-crawl decision is made GLOBALLY (one winner scan over all
+  shards) once per run and handed to every chunk, so duplicate urls across
+  shards resolve identically no matter which chunk runs when — on the
+  Bloom route too, whose maybe-dup side resolves winners over every shard
+  and keeps those of the chunk's own files; the summary records the
+  decision (``StaleRoute.summary()``).
 
 ``metrics_report`` folds the manifests into the throughput report
 (docs/sec, bytes/sec, per-chunk wall) mandated by the north rule.
@@ -70,10 +72,9 @@ def run_resumable(
     """Run (or resume) the extraction over a directory of pages shards.
 
     ``stop_after_chunks`` exists for crash-injection in tests.  Returns a
-    summary dict (shards done/skipped, docs, wall).
+    summary dict (shards done/skipped, docs, wall, and the stale-crawl
+    filter's route and counts — None when no shard needed a run).
     """
-    import ray
-
     from ..pipelines.extract import _stale_filter, extract_pipeline
 
     files = sorted(glob.glob(os.path.join(source_dir, "*.parquet")))
@@ -93,8 +94,8 @@ def run_resumable(
             continue
         todo.append(path)
 
-    # global winner map so cross-shard duplicate urls dedup consistently
-    winners_ref = _stale_filter(source_dir) if todo else None
+    # global winners so cross-shard duplicate urls dedup consistently
+    route = _stale_filter(source_dir) if todo else None
 
     config = {
         k: v for k, v in pipeline_kwargs.items() if isinstance(v, (str, int, float, bool))
@@ -112,7 +113,7 @@ def run_resumable(
         shutil.rmtree(final_dir, ignore_errors=True)
 
         t0 = time.time()
-        ds = extract_pipeline(chunk, _winners_ref=winners_ref, **pipeline_kwargs)
+        ds = extract_pipeline(chunk, _winners_ref=route, **pipeline_kwargs)
         ds.write_parquet(tmp_dir)
         os.replace(tmp_dir, final_dir)  # atomic partition publish
         wall = time.time() - t0
@@ -141,8 +142,6 @@ def run_resumable(
             os.replace(tmp, os.path.join(manifest_dir, f"{entry['shard_key']}.json"))
         chunks_run += 1
 
-    if winners_ref is not None:
-        del winners_ref
     return {
         "shards_total": len(files),
         "shards_skipped": skipped,
@@ -150,6 +149,7 @@ def run_resumable(
         "chunks_run": chunks_run,
         "docs_written": total_docs,
         "wall_sec": round(time.time() - t_run, 3),
+        "stale_filter": route.summary() if route is not None else None,
     }
 
 

@@ -7,11 +7,12 @@ Prints ONE JSON line:
    "docs": N, "docs_per_sec": X}
 
 Env: GRAFT_SF_DIR (default /root/testdata/sf0.1),
-     RAY_GRAFT_CPUS (default 32).
+     RAY_GRAFT_CPUS (default: the CPUs this process may run on,
+     ``len(os.sched_getaffinity(0))``).
 
-``--scaling`` runs the headline pipeline at 8 and 32 CPUs in fresh
-processes on the same input and reports both throughputs plus the
-scaling efficiency (recorded in BASELINE.md).
+``--scaling`` runs the headline pipeline at 1 and N CPUs (N as above) in
+fresh processes on the same input and reports both throughputs plus the
+scaling efficiency.
 """
 
 from __future__ import annotations
@@ -159,12 +160,17 @@ def _spin(n: int) -> int:
     return acc
 
 
-def host_probe(lo: int = 4, hi: int = 16, work: int = 6_000_000,
+def host_cpus() -> int:
+    """CPUs this process may run on (the affinity mask, not the machine)."""
+    return len(os.sched_getaffinity(0))
+
+
+def host_probe(lo: int = 1, hi: int | None = None, work: int = 6_000_000,
                repeats: int = 2) -> dict:
     """Raw multiprocessing CPU probe: the same fixed per-process work run
-    with ``lo`` and ``hi`` parallel processes (no Ray).  On a healthy host
-    the two walls are equal (ratio ≈ 0.95-1.0; measured 0.984 on an idle
-    window); in the sandbox's documented contention windows the 16-process
+    with ``lo`` (default 1) and ``hi`` (default ``host_cpus()``) parallel
+    processes (no Ray).  On a healthy host the two walls are equal (ratio
+    ≈ 0.95-1.0); under contention from other tenants the ``hi``-process
     wall inflates and the ratio drops below ~0.9.  Emitted with every
     bench run so a slow BENCH_rN is distinguishable from a code regression
     without a judge re-run (VERDICT r3 Missing #4).  Must run BEFORE
@@ -178,12 +184,14 @@ def host_probe(lo: int = 4, hi: int = 16, work: int = 6_000_000,
             p.map(_spin, [work] * n)
         return time.perf_counter() - t0
 
+    hi = hi or host_cpus()
     t_lo = min(measure(lo) for _ in range(repeats))
     t_hi = min(measure(hi) for _ in range(repeats))
     return {
-        "probe_t_4": round(t_lo, 3),
-        "probe_t_16": round(t_hi, 3),
-        "probe_4_16": round(t_lo / t_hi, 3),
+        "probe_procs": [lo, hi],
+        "probe_t_lo": round(t_lo, 3),
+        "probe_t_hi": round(t_hi, 3),
+        "probe_lo_hi": round(t_lo / t_hi, 3),
     }
 
 
@@ -199,7 +207,7 @@ def warm_file_cache(path: str) -> None:
 
 def run_bench() -> dict:
     sf_dir = os.environ.get("GRAFT_SF_DIR", "/root/testdata/sf0.1")
-    num_cpus = int(os.environ.get("RAY_GRAFT_CPUS", "32"))
+    num_cpus = int(os.environ.get("RAY_GRAFT_CPUS", host_cpus()))
 
     # host-state probe first: forked pools and a live Ray session don't mix
     probe = {} if os.environ.get("GRAFT_SKIP_PROBE") else host_probe()
@@ -293,17 +301,14 @@ def run_bench() -> dict:
 
 
 def run_scaling() -> dict:
-    """N=4 vs 4N=16 CPUs, fresh process each, same (larger) input.
+    """1 vs N CPUs (N = ``RAY_GRAFT_CPUS`` or ``host_cpus()``), fresh
+    process each, same (larger) input.
 
-    The pair is 4->16 rather than 8->32 because the sandbox VM itself does
-    not scale linearly to 32 processes (raw multiprocessing CPU probe:
-    1->8 = 0.92 eff, 8->32 = 0.72 eff — a hardware/virtualization ceiling,
-    not a pipeline property); 4->16 keeps the measurement inside the
-    machine's linear region.  The corpus is ~3x the bench default so the
-    ~2-4 s fixed per-run overhead (actor-pool spawn, read warmup) does not
-    mask stage scaling.  Each timed run is preceded by an untimed warmup
-    run of the same pipeline in the same session (warms the Ray worker
-    pool, imports, and the OS page cache).
+    The corpus is ~3x the bench default so the ~2-4 s fixed per-run
+    overhead (actor-pool spawn, read warmup) does not mask stage scaling.
+    Each timed run is preceded by an untimed warmup run of the same
+    pipeline in the same session (warms the Ray worker pool, imports, and
+    the OS page cache).  Efficiency is (wall at 1 CPU / wall at N) / N.
     """
     n_sdoc = os.environ.get("GRAFT_SCALING_SDOC", "19200")
 
@@ -317,26 +322,27 @@ def run_scaling() -> dict:
         ).stdout
         return json.loads(out.strip().splitlines()[-1])
 
-    lo, hi = 4, 16
+    lo, hi = 1, int(os.environ.get("RAY_GRAFT_CPUS", host_cpus()))
     r_lo = one(lo)
     r_hi = one(hi)
     eff = (r_lo["value"] / r_hi["value"]) / (hi / lo)
     return {
-        "metric": "scaling efficiency of headline extraction, N=4 -> 4N=16 cpus",
-        "sec_4": r_lo["value"],
-        "sec_16": r_hi["value"],
-        "docs_per_sec_4": r_lo["docs_per_sec"],
-        "docs_per_sec_16": r_hi["docs_per_sec"],
+        "metric": f"scaling efficiency of headline extraction, {lo} -> {hi} cpus",
+        "cpus": [lo, hi],
+        "sec_lo": r_lo["value"],
+        "sec_hi": r_hi["value"],
+        "docs_per_sec_lo": r_lo["docs_per_sec"],
+        "docs_per_sec_hi": r_hi["docs_per_sec"],
         "scaling_efficiency": round(eff, 3),
         "sf": r_lo["sf"],
         "docs": r_lo["docs"],
         # self-adjudication: all repeat walls + the raw CPU probe sampled
         # inside each level's fresh process, so a degraded host window is
         # visible in the artifact itself
-        "walls_4": r_lo.get("headline_walls"),
-        "walls_16": r_hi.get("headline_walls"),
-        "probe_4_16_at_lo": r_lo.get("probe_4_16"),
-        "probe_4_16_at_hi": r_hi.get("probe_4_16"),
+        "walls_lo": r_lo.get("headline_walls"),
+        "walls_hi": r_hi.get("headline_walls"),
+        "probe_lo_hi_at_lo": r_lo.get("probe_lo_hi"),
+        "probe_lo_hi_at_hi": r_hi.get("probe_lo_hi"),
     }
 
 

@@ -69,8 +69,9 @@ def test_three_dedup_paths_pick_identical_winner(ray_session, tmp_path):
 
 def test_colocate_auto_falls_back_on_same_ts_conflict(ray_session, tmp_path):
     """A parquet input with same-max-ts conflicting crawls must produce ONE
-    row per url on the DEFAULT (colocate) plan — round 3: via the Bloom
-    route (maybe-dup-only grouped dedup), no longer the full sort plan."""
+    row per url on the DEFAULT (colocate) plan — via the dict route: the
+    winner scan settles the tie on content_key and broadcasts the winning
+    key with the max-ts map (no Bloom split, no exchange)."""
     from action_pdf_accessibility_paddle_docker_ray.oracle import oracle_extract
     from action_pdf_accessibility_paddle_docker_ray.pipelines.extract import (
         BloomRoute,
@@ -82,37 +83,47 @@ def test_colocate_auto_falls_back_on_same_ts_conflict(ray_session, tmp_path):
     path = str(tmp_path / "pages.parquet")
     pq.write_table(t, path)
 
-    assert isinstance(_stale_filter(path), BloomRoute)
+    route = _stale_filter(path)
+    assert not isinstance(route, BloomRoute)
+    assert route.summary() == {
+        "route": "dict", "dup_urls": 2, "tied_urls": 1,
+        "exact_dup_urls": 0, "bloom_reason": None,
+    }
 
     out = extract_pipeline(path, concurrency=(1, 2)).to_pandas()
-    golden = {d["url"]: d["text"] for d in oracle_extract(t)}
+    golden = {d["url"]: d for d in oracle_extract(t)}
     assert len(out) == len(golden) == 3  # one row per url, no double emit
     for r in out.itertuples(index=False):
-        assert r.text == golden[r.url], r.url
+        assert r.text == golden[r.url]["text"], r.url
+        assert r.template_json == golden[r.url]["template_json"], r.url
 
 
 def test_stale_filter_distributed_path_matches_small_path(ray_session, tmp_path):
     """Force the distributed winner scan and compare against the one-task
-    scan on the same input."""
+    scan on the same input — older re-crawls only, then with same-max-ts
+    ties added: same route, counts, max-ts map and tie keys."""
     import ray
 
     import action_pdf_accessibility_paddle_docker_ray.pipelines.extract as ex
     from action_pdf_accessibility_paddle_docker_ray.corpus import generate_pages
 
-    t = generate_pages(120, seed=7)
-    path = str(tmp_path / "pages.parquet")
-    pq.write_table(t, path)
-
-    small = ex._stale_filter(path)
-    old = ex._SMALL_INPUT_BYTES
-    ex._SMALL_INPUT_BYTES = 0  # force the distributed branch
-    try:
-        big = ex._stale_filter(path)
-    finally:
-        ex._SMALL_INPUT_BYTES = old
-    assert (small is None) == (big is None)
-    if small is not None:
-        assert ray.get(small) == ray.get(big)
+    t = generate_pages(120, seed=7).select(["url", "warc_ts", "html"])
+    twins = t.take(list(range(0, 40, 4)))
+    html = [h + b"<!-- same-ts twin -->" for h in twins["html"].to_pylist()]
+    tied = pa.concat_tables([t, twins.set_column(2, "html", pa.array(html, pa.binary()))])
+    for name, table in [("recrawls", t), ("ties", tied)]:
+        path = str(tmp_path / f"{name}.parquet")
+        pq.write_table(table, path)
+        small = ex._stale_filter(path)
+        old = ex._SMALL_INPUT_BYTES
+        ex._SMALL_INPUT_BYTES = 0  # force the distributed branch
+        try:
+            big = ex._stale_filter(path)
+        finally:
+            ex._SMALL_INPUT_BYTES = old
+        assert small.summary() == big.summary(), name
+        assert small.route == "dict" and (small.tied_urls > 0) == (name == "ties")
+        assert ray.get(small.winners_ref) == ray.get(big.winners_ref), name
 
 
 # ---------------------------------------------------------------------------

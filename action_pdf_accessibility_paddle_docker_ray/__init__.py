@@ -9,7 +9,7 @@ pipeline over a Parquet table of Common-Crawl-style web pages
 - HTML rows: DOM-tree boilerplate stripping (text-density / link-density
   heuristics) — the arm mandated by ``BASELINE.json:north_star``.
 - PDF-like rows (deterministic ``%SDOC`` container, see FIXTURES.md §1.1):
-  page fan-out → layout-region detection (stub detector standing in for a
+  page loop → layout-region detection (stub detector standing in for a
   PaddleX model, behind the same actor-pool boundary) → overlap
   resolution → reading-order sort → per-region text extraction →
   table-grid inference → formula→MathML → per-url template assembly.

@@ -35,9 +35,6 @@ def assemble_document(
     pages = sorted(pages, key=lambda p: p["page_no"])
     statuses = {p.get("status", "ok") for p in pages} or {"ok"}
     status = "ok" if statuses == {"ok"} else ";".join(sorted(s for s in statuses if s != "ok"))
-    # zero-page documents (e.g. an empty %SDOC) carry a placeholder record
-    # on the page-parallel path; they contribute no page template
-    pages = [p for p in pages if p.get("kind") != "sdoc_empty"]
 
     if pages and pages[0].get("kind") == "html":
         page = pages[0]

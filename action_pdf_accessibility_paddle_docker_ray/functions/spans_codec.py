@@ -1,23 +1,16 @@
-"""Native Arrow representation for span / formula rows in flight.
+"""Native Arrow representation for span / formula lists.
 
-Round 2 carried spans and formulas between stages as JSON strings
-(serialize per page, parse per page, serialize again per doc).  Round 3
-moves the in-flight representation to Arrow ``list<struct>`` columns —
-zero-copy through the sort exchange and the object store, exploded by
-``pyarrow.compute`` (``list_parent_indices`` + ``flatten``) instead of a
-per-row ``json.loads`` loop.  JSON appears ONLY at the sink, where the
-public output contract (byte-identical ``spans_json`` per url vs
-``oracle.py``) requires it.
+``extract_pipeline(output="nested")`` emits spans and formulas as Arrow
+``list<struct>`` columns instead of JSON strings, so the downstream
+explodes (``spans_dataset`` / ``formulas_dataset``) are
+``pyarrow.compute`` flattens (``list_parent_indices`` + ``flatten``)
+instead of a per-row ``json.loads`` loop.  The public docs contract
+(byte-identical ``spans_json`` per url vs ``oracle.py``) stays JSON.
 
-Byte-identity detail: a struct column normalizes every span to the full
-field set (absent keys become nulls), but the reference JSON key sets
-differ by arm — HTML spans carry exactly {boiler, label, link_density,
-reading_order, text} and %SDOC spans carry the 12-key page-geometry set
-(with ``mathml`` / ``table_json`` as EXPLICIT nulls).  ``restore_span``
-reconstructs the original key set from the struct dict using
-``link_density`` (always set for HTML, never for %SDOC) as the arm
-discriminator, so the sink's ``json.dumps(..., sort_keys=True)`` is
-byte-identical to the oracle's.
+A struct column normalizes every span to the full field set: absent keys
+become nulls.  HTML spans carry {boiler, label, link_density,
+reading_order, tag_count, text} and %SDOC spans the 12-key page-geometry
+set, so a nested span holds the union of both.
 """
 
 from __future__ import annotations
@@ -44,17 +37,8 @@ SPAN_STRUCT = pa.struct(
     ]
 )
 
-# page-level formulas are (formula_id, mathml) pairs; doc-level adds url
+# doc-level formulas are {formula_id, mathml, url} dicts; url rides on the row
 FORMULA_STRUCT = pa.struct([("formula_id", pa.int64()), ("mathml", pa.string())])
-
-# original key sets (url is injected at doc assembly, not stored per span)
-HTML_SPAN_KEYS = (
-    "label", "text", "link_density", "tag_count", "boiler", "reading_order"
-)
-SDOC_SPAN_KEYS = (
-    "page_no", "region_id", "label", "score", "x0", "y0", "x1", "y1",
-    "reading_order", "text", "table_json", "mathml",
-)
 
 
 def spans_to_arrow(span_lists: list[list[dict]]) -> pa.Array:
@@ -63,40 +47,7 @@ def spans_to_arrow(span_lists: list[list[dict]]) -> pa.Array:
     return pa.array(span_lists, type=pa.list_(SPAN_STRUCT))
 
 
-def formulas_to_arrow(formula_lists: list[list]) -> pa.Array:
-    """Per-row formula lists — (id, mathml) pairs or {formula_id, mathml}
-    dicts — → ``list<FORMULA_STRUCT>``."""
-    norm = [
-        [
-            f if isinstance(f, dict) else {"formula_id": f[0], "mathml": f[1]}
-            for f in row
-        ]
-        for row in formula_lists
-    ]
-    return pa.array(norm, type=pa.list_(FORMULA_STRUCT))
-
-
-_INT_FIELDS = frozenset(("page_no", "region_id", "reading_order", "tag_count"))
-_FLOAT_FIELDS = frozenset(("score", "x0", "y0", "x1", "y1", "link_density"))
-
-
-def restore_span(d: dict) -> dict:
-    """Struct dict (full field set, nulls) → the original per-arm span dict.
-
-    Arrow→pandas conversion may hand back numpy scalars (and int fields
-    with nulls as floats); coerce to the exact Python types the reference
-    JSON carries so ``json.dumps`` is byte-identical."""
-    ld = d.get("link_density")
-    is_html = ld is not None and ld == ld  # NaN-safe null check
-    out = {}
-    for k in HTML_SPAN_KEYS if is_html else SDOC_SPAN_KEYS:
-        v = d[k]
-        if v is not None:
-            if k in _INT_FIELDS:
-                v = int(v)
-            elif k in _FLOAT_FIELDS:
-                v = float(v)
-            elif k == "boiler":
-                v = bool(v)
-        out[k] = v
-    return out
+def formulas_to_arrow(formula_lists: list[list[dict]]) -> pa.Array:
+    """Per-row formula-dict lists → ``list<FORMULA_STRUCT>`` (``url`` is
+    dropped like in ``spans_to_arrow``)."""
+    return pa.array(formula_lists, type=pa.list_(FORMULA_STRUCT))

@@ -43,6 +43,12 @@ def dedup_latest(rows: list[dict]) -> list[dict]:
     return [best[u] for u in order]
 
 
+def _empty_page(page_no: int, status: str) -> dict:
+    """The page record of a page (or document) that failed to extract."""
+    return {"kind": "sdoc", "page_no": page_no, "text": "", "elements": [],
+            "formulas": [], "spans": [], "n_regions": 0, "status": status}
+
+
 def extract_row(
     row: dict,
     *,
@@ -54,10 +60,13 @@ def extract_row(
 ) -> dict:
     """One input row → one output-doc record (dict with spans/formulas lists).
 
-    Also the per-doc kernel of the pipeline's colocate path
-    (stages/process.DocProcessor) — pipeline output is byte-identical to
-    the oracle by construction there; the tests prove the page-parallel
-    sort path equal too.
+    Also the per-doc kernel of the pipeline (stages/process.DocProcessor),
+    so pipeline output is byte-identical to the oracle by construction.
+    A malformed document never raises: a %SDOC container that does not
+    decode to a dict with a list of ``pages`` becomes one empty page with
+    status ``parse_error:<exception>``, and a page whose ``process_page``
+    raises becomes an empty page with status ``page_error:<exception>``
+    (the document keeps its other pages).
     """
     url = row["url"]
     created = str(row["warc_ts"])[:10]
@@ -67,21 +76,27 @@ def extract_row(
 
     if is_sdoc(html):
         try:
-            doc = parse_sdoc(html)
+            pages = parse_sdoc(html).get("pages", [])
+            if not isinstance(pages, list):
+                raise TypeError(f"pages is {type(pages).__name__}, not list")
         except Exception as exc:  # noqa: BLE001 - error becomes a status row
             return assemble_document(url, created, model, zoom, [
-                {"kind": "sdoc", "page_no": 0, "text": "", "elements": [],
-                 "formulas": [], "spans": [], "n_regions": 0,
-                 "status": f"parse_error:{type(exc).__name__}"}
+                _empty_page(0, f"parse_error:{type(exc).__name__}")
             ])
         page_records = []
-        for page_no, page in enumerate(doc.get("pages", [])):
+        for page_no, page in enumerate(pages):
             # the reference numbers pages 1-based in templates/ids
             # (/root/reference/src/autotag.py:191 page_number = page_index + 1)
-            result = process_page(
-                page, page_no + 1, model=model, thresholds=thresholds, zoom=zoom,
-                process_table=process_table, process_formula=process_formula,
-            )
+            try:
+                result = process_page(
+                    page, page_no + 1, model=model, thresholds=thresholds, zoom=zoom,
+                    process_table=process_table, process_formula=process_formula,
+                )
+            except Exception as exc:  # noqa: BLE001 - error becomes a status row
+                page_records.append(
+                    _empty_page(page_no, f"page_error:{type(exc).__name__}")
+                )
+                continue
             page_records.append(
                 {"kind": "sdoc", "page_no": page_no, "status": "ok", **result}
             )

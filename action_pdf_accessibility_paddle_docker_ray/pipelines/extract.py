@@ -1,33 +1,27 @@
 """The flagship extraction pipeline (SURVEY.md §3.4).
 
-Two physical plans for the same logical job:
-
-- ``regroup="colocate"`` (default, **no all-to-all**):
-  ``read_parquet(url, warc_ts, html)`` → stale-crawl filter → ``DocProcessor``
-  ACTOR POOL (doc parse → page loop → detect → resolve → reading order →
-  text extract → template assembly, all per input row = per document) →
-  partitioned parquet.  A document never spans blocks, so per-url assembly
-  needs no exchange; stale duplicate crawls were filtered before any
-  payload was touched.  The stale-crawl filter keeps the latest crawl per
-  url, ties broken on ``content_key``, by one of three routes that
-  ``_stale_filter`` picks from a winner scan:
-  none (no url crawled twice), dict (broadcast semi-join against a small
-  ``{url: max warc_ts}`` map plus the winning ``content_key`` of every url
-  whose max warc_ts is shared — one read, no exchange), or Bloom (only
-  when no broadcast can decide: a winner map over the broadcast bound, or
-  exact-duplicate rows; a fixed-size dup-url Bloom filter splits the
-  stream and only maybe-dup rows pay a grouped dedup exchange —
-  ``functions/bloom.py``).
-- ``regroup="sort"`` (page-parallel): doc-aligned page fan-out (task) →
-  ``PageProcessor`` actor pool over page rows → ``sort(url)`` exchange →
-  block-local assembly.  Spreads a single enormous document across the
-  whole pool; costs the one output-sized all-to-all (measured ~1.8x
-  slower end-to-end).
+One physical plan: ``read_parquet(url, warc_ts, html)`` → stale-crawl
+filter → ``DocProcessor`` ACTOR POOL (doc parse → page loop → detect →
+resolve → reading order → text extract → template assembly, all per input
+row = per document) → partitioned parquet.  A document never spans rows,
+so per-url assembly needs no exchange; stale duplicate crawls are filtered
+before any payload is touched.  The stale-crawl filter keeps the latest
+crawl per url, ties broken on ``content_key``.  For a path source it takes
+one of three routes that ``_stale_filter`` picks from a winner scan: none
+(no url crawled twice), dict (broadcast semi-join against a small
+``{url: max warc_ts}`` map plus the winning ``content_key`` of every url
+whose max warc_ts is shared — one read, no exchange), or Bloom (only when
+no broadcast can decide: a winner map over the broadcast bound, or
+exact-duplicate rows; a fixed-size dup-url Bloom filter splits the stream
+and only maybe-dup rows pay a grouped dedup exchange —
+``functions/bloom.py``).  A Dataset source has no path to re-scan, so it
+pays the grouped dedup exchange (``stages/dedup.dedup_latest``) over all
+its rows.
 
 Scale design notes (100 TB / multi-node):
 - columns pruned at the read: only (url, warc_ts, html) leave storage;
 - skew: the heavy-stage unit is a document (bounded, batch-dispatched
-  across the pool) or a page in sort mode — never a whole input block
+  across the pool) — never a whole input block
   (reference: one sequential page loop per process,
   /root/reference/src/autotag.py:123-138);
 - the processing pool loads per-worker state once (``__init__``), sized to
@@ -43,15 +37,16 @@ import os
 from dataclasses import dataclass, field
 from typing import Any
 
+import pyarrow as pa
 import ray
 import ray.data
 
 from .. import ensure_picklable
 from ..sources.pages import read_pages
-from ..stages.assemble_stage import make_assemble_block
+from ..schemas import EXTRACT_INPUT
 from ..stages.dedup import dedup_latest
-from ..stages.fanout import content_key, fanout_pages
-from ..stages.process import DocProcessor, PageProcessor
+from ..stages.fanout import content_key
+from ..stages.process import DocProcessor
 
 DOC_COLUMNS = [
     "url", "text", "n_pages", "n_regions", "status",
@@ -425,11 +420,8 @@ def extract_pipeline(
     thresholds: dict[int, float] | None = None,
     process_table: bool = True,
     process_formula: bool = True,
-    dedup: Any = "late",
-    regroup: str = "colocate",
     batch_size: int = 8,
     concurrency: Any = None,
-    repartition_blocks: int | None = None,
     output: str = "json",
     num_gpus: float | None = None,
     resources: dict | None = None,
@@ -437,11 +429,17 @@ def extract_pipeline(
 ) -> ray.data.Dataset:
     """Build the lazy extraction Dataset from a parquet path or a Dataset.
 
+    One plan: read → one stale-crawl step → ``DocProcessor`` actor pool.
+    A path source takes the stale-crawl route ``_stale_filter`` picks (none,
+    dict or Bloom; see the module docstring); a Dataset source cannot be
+    re-scanned for a winner map, so it runs ``dedup_latest`` (one sort
+    exchange) over all its rows.
+
     ``num_gpus`` / ``resources``: per-actor resource pins for the DETECTOR
     stage only (the north-star GPU-pinned batched inference seam) — passed
     straight to the actor-pool ``map_batches``; with ``num_gpus`` set the
     stage stops claiming a CPU slot (``num_cpus=0``) so the GPU actors and
-    the CPU read/assemble stages don't contend for the same slots.  When
+    the CPU read/write stages don't contend for the same slots.  When
     both are None each actor claims one CPU (``_actor_cpus``: less only
     when the pool would otherwise hold every CPU).  Without a GPU the
     kwargs are exercised structurally (a test asserts they reach
@@ -452,29 +450,7 @@ def extract_pipeline(
     ``oracle.docs_to_table``).  "nested" emits native Arrow ``list<struct>``
     ``spans``/``formulas`` columns instead — downstream explodes
     (``spans_dataset``/``formulas_dataset``) become zero-copy Arrow
-    flattens.  Honored on the colocate plan; the sort plan always emits the
-    JSON contract (its assembly is the sink).
-
-    ``regroup``:
-    - "colocate" (default): NO output shuffle.  The fan-out yields
-      doc-aligned blocks (all pages of a url in one block), so assembly is
-      block-local.  With ``dedup="late"`` the stale crawls are dropped by
-      the route ``_stale_filter`` picks: nothing (no duplicate url), the
-      dict route (read → ``drop_stale`` → ``DocProcessor`` → write; same-
-      max-ts ties are settled by the broadcast winning ``content_key``),
-      or — only for a winner map over the broadcast bound or for
-      exact-duplicate rows — the Bloom route: stream unique rows
-      exchange-free and run the grouped dedup (exact, content_key
-      tie-break) over maybe-dup rows only.
-    - "sort": classic sort("url") exchange before assembly (the same
-      guarantee Ray's map_groups uses; a keyed hash repartition was
-      measured 1.7x slower end-to-end on this Ray version).
-
-    ``dedup``: "late" (default) resolves stale crawls without shuffling
-    payloads — via the stale-crawl filter in "colocate" mode and inside
-    the assembly groups in "sort" mode.  "early"/True adds the explicit
-    ``groupby(url)`` payload dedup stage before processing (an extra
-    all-to-all of the raw payload; only worth it at high duplicate rates).
+    flattens.
 
     ``_winners_ref``: a ``StaleRoute`` computed over a larger source that
     contains this one (``run_resumable`` scans the whole source once and
@@ -482,56 +458,47 @@ def extract_pipeline(
     """
     ensure_picklable()
     is_path = isinstance(source, (str, list))
-    if regroup == "colocate" and not is_path and dedup == "late" and _winners_ref is None:
-        # a Dataset source can't be re-scanned for the semi-join winner
-        # map; the sort path dedups correctly in one pass instead of
-        # silently keeping stale duplicate crawls
-        regroup = "sort"
     ds = read_pages(source) if is_path else source
-    stage_kwargs = dict(
-        model=model, zoom=zoom, thresholds=thresholds,
-        process_table=process_table, process_formula=process_formula,
-    )
-    if dedup == "early" or dedup is True:
+    route = _winners_ref
+    if route is None and is_path:
+        route = _stale_filter(source)
+    if route is None:
         ds = dedup_latest(ds)
-
-    route = StaleRoute()
-    if regroup == "colocate" and dedup == "late":
-        route = _winners_ref if _winners_ref is not None else _stale_filter(source)
-        if isinstance(route, BloomRoute):
-            # maybe-dup-only exchange: definitely-unique rows (Bloom miss)
-            # stream straight to the processor with NO exchange; maybe-dup
-            # rows (Bloom hit — dups plus ~6e-4 false positives) pay the
-            # grouped dedup, which resolves winners exactly, including
-            # same-max-ts ties (content_key tie-break in dedup_latest).
-            # The maybe side reads every file the scan saw, so a run over
-            # part of that source still keeps only global winners; the
-            # file path breaks exact-duplicate ties, so one file — one
-            # chunk — keeps the copy, and the rest are dropped.
-            bref = route.bloom_ref
-            unique = ds.map_batches(
-                _make_bloom_split(bref, keep_hits=False),
-                batch_format="pyarrow", num_cpus=0.5,
-            )
-            maybe = read_pages(route.files, include_paths=True).map_batches(
-                _make_bloom_split(bref, keep_hits=True),
-                batch_format="pyarrow", num_cpus=0.5,
-            )
-            # dedup_latest emits pandas blocks; this stage also normalizes
-            # them to Arrow so the union feeds one homogeneous block type
-            resolved = dedup_latest(maybe).map_batches(
-                _make_keep_files(_source_files(source)),
-                batch_format="pyarrow", num_cpus=0.5,
-            )
-            ds = unique.union(resolved)
-        elif route.route == "dict":
-            # num_cpus=0.5 keeps this a TASK stage (no fusion into the actor
-            # pool): an ObjectRef captured in actor-constructor args breaks
-            # actor restarts (ray#53727); task retries just re-fetch the ref
-            ds = ds.map_batches(
-                _make_drop_stale(route.winners_ref), batch_format="pyarrow",
-                num_cpus=0.5,
-            )
+        route = StaleRoute()
+    elif isinstance(route, BloomRoute):
+        # maybe-dup-only exchange: definitely-unique rows (Bloom miss)
+        # stream straight to the processor with NO exchange; maybe-dup
+        # rows (Bloom hit — dups plus ~6e-4 false positives) pay the
+        # grouped dedup, which resolves winners exactly, including
+        # same-max-ts ties (content_key tie-break in dedup_latest).
+        # The maybe side reads every file the scan saw, so a run over
+        # part of that source still keeps only global winners; the
+        # file path breaks exact-duplicate ties, so one file — one
+        # chunk — keeps the copy, and the rest are dropped.
+        bref = route.bloom_ref
+        unique = ds.map_batches(
+            _make_bloom_split(bref, keep_hits=False),
+            batch_format="pyarrow", num_cpus=0.5,
+        )
+        maybe = read_pages(route.files, include_paths=True).map_batches(
+            _make_bloom_split(bref, keep_hits=True),
+            batch_format="pyarrow", num_cpus=0.5,
+        )
+        resolved = dedup_latest(
+            maybe, EXTRACT_INPUT.append(pa.field("path", pa.string()))
+        ).map_batches(
+            _make_keep_files(_source_files(source)),
+            batch_format="pyarrow", num_cpus=0.5,
+        )
+        ds = unique.union(resolved)
+    elif route.route == "dict":
+        # num_cpus=0.5 keeps this a TASK stage (no fusion into the actor
+        # pool): an ObjectRef captured in actor-constructor args breaks
+        # actor restarts (ray#53727); task retries just re-fetch the ref
+        ds = ds.map_batches(
+            _make_drop_stale(route.winners_ref), batch_format="pyarrow",
+            num_cpus=0.5,
+        )
 
     if concurrency is None:
         concurrency = _default_concurrency(4 if route.route == "bloom" else 8)
@@ -545,44 +512,21 @@ def extract_pipeline(
     if resources is not None:
         detector_resources["resources"] = resources
 
-    if regroup == "colocate":
-        # one actor stage: doc parse → page loop → detect → resolve →
-        # assemble, emitting finished doc rows — unit of work = document,
-        # no intermediate serialization, no output exchange.
-        return ds.map_batches(
-            DocProcessor,
-            fn_constructor_kwargs=dict(stage_kwargs, output=output),
-            batch_format="pyarrow",
-            batch_size=batch_size,
-            concurrency=concurrency,
-            **detector_resources,
-        )
-
-    # page-parallel path: fan-out makes the unit of work a page so one
-    # enormous document spreads across the pool; the per-url sort exchange
-    # reassembles.  num_cpus=0.5 on the fan-out keeps it a SEPARATE
-    # operator from the actor-pool stage (no fusion), so page rows
-    # re-batch at ``batch_size`` granularity.
-    ds = ds.map_batches(fanout_pages, batch_format="pyarrow", num_cpus=0.5)
-    if repartition_blocks:
-        # explicit skew balance: spread the fan-out's page rows evenly
-        # across ``repartition_blocks`` blocks before the heavy stage —
-        # for inputs where the doc-aligned block layout is pathologically
-        # skewed (the actor pool's batch-level dispatch usually suffices)
-        ds = ds.repartition(repartition_blocks)
-    ds = ds.map_batches(
-        PageProcessor,
-        fn_constructor_kwargs=stage_kwargs,
+    # one actor stage: doc parse → page loop → detect → resolve →
+    # assemble, emitting finished doc rows — unit of work = document,
+    # no intermediate serialization, no output exchange.
+    return ds.map_batches(
+        DocProcessor,
+        fn_constructor_kwargs=dict(
+            model=model, zoom=zoom, thresholds=thresholds,
+            process_table=process_table, process_formula=process_formula,
+            output=output,
+        ),
         batch_format="pyarrow",
         batch_size=batch_size,
         concurrency=concurrency,
         **detector_resources,
     )
-    ds = ds.sort("url")
-    ds = ds.map_batches(
-        make_assemble_block(model, zoom), batch_format="pandas", batch_size=None
-    )
-    return ds
 
 
 def extract_to_parquet(source: str, out_dir: str, **kwargs: Any) -> None:

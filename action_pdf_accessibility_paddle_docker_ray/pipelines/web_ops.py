@@ -971,7 +971,7 @@ def host_boilerplate(sf_dir: str, *, thresh: int = _HB_THRESH) -> ray.data.Datas
     ``_HB_BROADCAST_MAX`` the (source, line_md5) set broadcasts via
     ``ray.put`` and every doc scrubs in a streaming pass with zero
     further exchange; above it, occurrence rows and boilerplate rows
-    co-partition in a tagged-sides grouped join, and survivors regroup
+    co-partition in a tagged-sides grouped join, and survivors group again
     per doc_id (sort on exactly [doc_id] — the colocation invariant) to
     rebuild the text, with nothing line-shaped on the driver.
 

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import pyarrow as pa
 
+from .functions.spans_codec import FORMULA_STRUCT, SPAN_STRUCT
+
 # input pages table (BASELINE.json input_hint)
 PAGES = pa.schema(
     [
@@ -21,46 +23,11 @@ PAGES = pa.schema(
     ]
 )
 
-# fan-out output: one row per page (sort/page-parallel path)
-PAGE_ROWS = pa.schema(
-    [
-        ("url", pa.string()),
-        ("created", pa.string()),
-        ("kind", pa.string()),
-        ("page_no", pa.int32()),
-        ("n_pages", pa.int32()),
-        ("payload", pa.string()),
-        ("size_bucket", pa.int32()),
-        ("warc_ts_us", pa.int64()),
-        ("content_key", pa.string()),
-    ]
-)
+# the pages columns extraction reads (read_pages' projection; the
+# stages/dedup.dedup_latest output)
+EXTRACT_INPUT = pa.schema([PAGES.field(n) for n in ("url", "warc_ts", "html")])
 
-# per-page processed rows (PageProcessor output) — spans/formulas ride as
-# native Arrow list<struct> through the sort exchange (round 3); elements
-# stay JSON because template trees are recursive
-from .functions.spans_codec import FORMULA_STRUCT, SPAN_STRUCT  # noqa: E402
-
-PROCESSED_PAGE_ROWS = pa.schema(
-    [
-        ("url", pa.string()),
-        ("created", pa.string()),
-        ("kind", pa.string()),
-        ("page_no", pa.int32()),
-        ("n_pages", pa.int32()),
-        ("status", pa.string()),
-        ("text", pa.string()),
-        ("elements_json", pa.string()),
-        ("formulas", pa.list_(FORMULA_STRUCT)),
-        ("spans", pa.list_(SPAN_STRUCT)),
-        ("n_regions", pa.int32()),
-        ("size_bucket", pa.int32()),
-        ("warc_ts_us", pa.int64()),
-        ("content_key", pa.string()),
-    ]
-)
-
-# output docs table (DocProcessor / assemble output)
+# output docs table (DocProcessor output)
 DOCS = pa.schema(
     [
         ("url", pa.string()),

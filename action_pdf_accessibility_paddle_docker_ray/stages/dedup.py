@@ -4,20 +4,23 @@ Two-level design so the all-to-all shuffle moves as little as possible:
 1. a per-batch combiner (stateless ``map_batches``) drops stale duplicates
    that happen to share a batch — zero shuffle;
 2. ``sort("url")`` + a block-level resolve pass handles the rest — the one
-   unavoidable range exchange, carrying only the already-pruned
-   (url, warc_ts, html) columns (same co-location guarantee as
-   ``groupby().map_groups``, minus its ~10 ms/group dispatch).
+   unavoidable range exchange, carrying only the columns extraction reads
+   (same co-location guarantee as ``groupby().map_groups``, minus its
+   ~10 ms/group dispatch).
 
-Winner = max ``(warc_ts, content_key)`` — the SAME tie-break key the late
-(assembly) dedup and the golden oracle use (``stages/fanout.content_key``),
-so every dedup path picks the identical winner for identical input.
+Winner = max ``(warc_ts, content_key)`` — the SAME tie-break key the
+stale-crawl broadcast and the golden oracle use
+(``stages/fanout.content_key``), so every dedup path picks the identical
+winner for identical input.
 """
 
 from __future__ import annotations
 
 import pandas as pd
+import pyarrow as pa
 import ray.data
 
+from ..schemas import EXTRACT_INPUT
 from .fanout import content_key
 
 
@@ -43,13 +46,25 @@ def best_per_url(df: pd.DataFrame) -> pd.DataFrame:
     return out.drop(columns="_ck").reset_index(drop=True)
 
 
-def dedup_latest(ds: ray.data.Dataset) -> ray.data.Dataset:
-    ds = ds.map_batches(best_per_url, batch_format="pandas")  # combiner, no shuffle
+def dedup_latest(
+    ds: ray.data.Dataset, schema: pa.Schema = EXTRACT_INPUT
+) -> ray.data.Dataset:
+    """One row per url of ``ds``, as Arrow blocks with exactly ``schema``'s
+    columns and types (``ds`` must carry them).  Zero-row blocks are the
+    exception: the sort emits column-less ones for key ranges that got no
+    rows, and Ray's map operators pass zero-row blocks on without calling
+    the UDF."""
+
+    def best_per_url_table(df: pd.DataFrame) -> pa.Table:
+        best = best_per_url(df[schema.names])
+        return pa.Table.from_pandas(best, schema=schema, preserve_index=False)
+
+    ds = ds.map_batches(best_per_url_table, batch_format="pandas")  # combiner, no shuffle
     # sort + BLOCK-level resolve instead of groupby().map_groups: the sort
     # gives the same equal-keys-co-located guarantee map_groups relies on,
     # and best_per_url already resolves every url inside a mixed frame —
     # this removes map_groups' ~10 ms/group dispatch, which dominated at
     # 30k+ duplicated urls (measured on the Bloom-route dup corpus)
     return ds.sort("url").map_batches(
-        best_per_url, batch_format="pandas", batch_size=None
+        best_per_url_table, batch_format="pandas", batch_size=None
     )

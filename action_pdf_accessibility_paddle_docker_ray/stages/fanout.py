@@ -1,29 +1,14 @@
-"""Doc → page fan-out (stateless task stage).
+"""Per-document keys shared by the stale-crawl dedup and the output layout.
 
-The skew handler: after this stage the unit of work is a *page*, so a
-400-page %SDOC doc becomes 400 independent rows while a short HTML doc
-stays one row (kind="html") — the heavy-model stage downstream never sees
-a whole heavy document (reference loops pages sequentially in one process,
-/root/reference/src/autotag.py:123-138).  Rows also get a ``size_bucket``
-(log2 of payload bytes) used for partitioned output layout and skew
-diagnostics per ``north_star``.
-
-Implemented as a GENERATOR ``map_batches`` fn yielding doc-aligned
-sub-batches (~4 MB): every yielded table contains only WHOLE documents, so
-all pages of a doc stay in one output block — the invariant the
-shuffle-free assembly path relies on (see pipelines/extract.py).  Yielded
-batches stay far below ``target_max_block_size``, so Ray never splits one
-dynamically mid-doc.
+``content_key`` is the dedup tie-breaker between crawls of one url that
+share their latest ``warc_ts``; ``size_bucket`` (log2 of payload bytes) is
+the partition column of the written docs table and the skew diagnostic per
+``north_star``.
 """
 
 from __future__ import annotations
 
 import hashlib
-import json
-
-import pyarrow as pa
-
-from ..functions.sdoc import is_sdoc, parse_sdoc
 
 
 def size_bucket(n_bytes: int) -> int:
@@ -32,90 +17,8 @@ def size_bucket(n_bytes: int) -> int:
 
 def content_key(html: bytes) -> str:
     """Stable content hash used as the dedup tie-breaker — THE one tie-break
-    key for every dedup path (early ``stages/dedup``, late assembly, and the
-    golden ``oracle.dedup_latest``).  md5 (not a crypto use — just a
+    key for every dedup path (the stale-crawl broadcast, ``stages/dedup``,
+    and the golden ``oracle.dedup_latest``).  md5 (not a crypto use — just a
     deterministic total order over payloads) so the DuckDB oracle can
     recompute it with its built-in ``md5()``."""
     return hashlib.md5(html).hexdigest()
-
-
-FLUSH_BYTES = 4 << 20  # yield a doc-aligned sub-batch after ~4 MB of payload
-
-
-def fanout_pages(batch: pa.Table):
-    urls, createds, kinds, page_nos, n_pages_col, payloads, buckets = [], [], [], [], [], [], []
-    ts_us_col, ckey_col = [], []
-    acc_bytes = 0
-    url_col = batch.column("url").to_pylist()
-    ts_col = batch.column("warc_ts").to_pylist()
-    html_col = batch.column("html").to_pylist()
-
-    def flush() -> pa.Table:
-        table = pa.table(
-            {
-                "url": pa.array(urls, pa.string()),
-                "created": pa.array(createds, pa.string()),
-                "kind": pa.array(kinds, pa.string()),
-                "page_no": pa.array(page_nos, pa.int32()),
-                "n_pages": pa.array(n_pages_col, pa.int32()),
-                "payload": pa.array(payloads, pa.string()),
-                "size_bucket": pa.array(buckets, pa.int32()),
-                "warc_ts_us": pa.array(ts_us_col, pa.int64()),
-                "content_key": pa.array(ckey_col, pa.string()),
-            }
-        )
-        for lst in (urls, createds, kinds, page_nos, n_pages_col, payloads,
-                    buckets, ts_us_col, ckey_col):
-            lst.clear()
-        return table
-
-    for url, ts, html in zip(url_col, ts_col, html_col):
-        created = str(ts)[:10]
-        bucket = size_bucket(len(html))
-        if hasattr(ts, "year"):  # datetime → epoch us, TZ-independent
-            import datetime as _dt
-
-            ts_us = (ts - _dt.datetime(1970, 1, 1)) // _dt.timedelta(microseconds=1)
-        else:
-            ts_us = int(ts)
-        ckey = content_key(html)
-
-        def emit(kind: str, page_no: int, n_pages: int, payload: str) -> None:
-            urls.append(url)
-            createds.append(created)
-            kinds.append(kind)
-            page_nos.append(page_no)
-            n_pages_col.append(n_pages)
-            payloads.append(payload)
-            buckets.append(bucket)
-            ts_us_col.append(ts_us)
-            ckey_col.append(ckey)
-
-        if is_sdoc(html):
-            try:
-                doc = parse_sdoc(html)
-                pages = doc.get("pages", [])
-            except Exception as exc:  # noqa: BLE001 - error row, not a task crash
-                emit("error", 0, 1, f"parse_error:{type(exc).__name__}")
-                continue
-            if not pages:
-                emit("sdoc_empty", 0, 0, "")
-                continue
-            for page_no, page in enumerate(pages):
-                emit("sdoc", page_no, len(pages),
-                     json.dumps(page, sort_keys=True, separators=(",", ":")))
-        else:
-            try:
-                text = html.decode("utf-8")
-            except UnicodeDecodeError:
-                text = html.decode("utf-8", errors="replace")
-            emit("html", 0, 1, text)
-
-        # doc boundary: safe to flush (never mid-doc)
-        acc_bytes += len(html)
-        if acc_bytes >= FLUSH_BYTES:
-            acc_bytes = 0
-            yield flush()
-
-    if urls:
-        yield flush()

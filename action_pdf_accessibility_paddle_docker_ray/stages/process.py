@@ -1,17 +1,11 @@
-"""Per-page / per-doc processing stages — the actor-pool boundary.
+"""The document-processing stage — the actor-pool boundary.
 
-Two stage classes:
-
-- ``DocProcessor`` (colocate path, default): consumes raw (url, warc_ts,
-  html) rows — each row is a whole document — and emits finished doc rows
-  by calling the golden oracle's own per-doc kernel
-  (``oracle.extract_row``).  No intermediate serialization, no output
-  shuffle; the unit of parallelism is the document (bounded by the largest
-  doc's page count — a 400-page %SDOC costs ~0.7 s with the stub
-  detector, and a real model pool batches pages internally).
-- ``PageProcessor`` (page-parallel sort path): consumes fan-out page rows
-  so a single huge document's pages spread across the whole pool; requires
-  the per-url sort exchange afterwards to reassemble.
+``DocProcessor`` consumes raw (url, warc_ts, html) rows — each row is a
+whole document — and emits finished doc rows by calling the golden
+oracle's own per-doc kernel (``oracle.extract_row``).  No intermediate
+serialization, no output shuffle; the unit of parallelism is the document
+(bounded by the largest doc's page count — a 400-page %SDOC costs ~0.7 s
+with the stub detector, and a real model pool batches pages internally).
 
 The reference recreates every model at each use site (layout per page,
 formula per formula, table models per table — /root/reference/src/ai.py:72-79,
@@ -29,9 +23,7 @@ import json
 
 import pyarrow as pa
 
-from ..functions.html_strip import strip_html
 from ..functions.labels import default_thresholds
-from ..functions.template import process_page
 
 
 class DocProcessor:
@@ -46,8 +38,6 @@ class DocProcessor:
         process_formula: bool = True,
         output: str = "json",
     ) -> None:
-        from ..functions.labels import default_thresholds
-
         self.model = model
         self.zoom = zoom
         self.thresholds = dict(thresholds) if thresholds else default_thresholds(model)
@@ -115,97 +105,3 @@ class DocProcessor:
             }
         )
 
-
-class PageProcessor:
-    """Callable-class stage for ``map_batches(..., concurrency=N)``."""
-
-    def __init__(
-        self,
-        model: str = "PP-DocLayout-L",
-        zoom: float = 2.0,
-        thresholds: dict[int, float] | None = None,
-        process_table: bool = True,
-        process_formula: bool = True,
-    ) -> None:
-        # once-per-actor setup (the "model load")
-        self.model = model
-        self.zoom = zoom
-        self.thresholds = dict(thresholds) if thresholds else default_thresholds(model)
-        self.process_table = process_table
-        self.process_formula = process_formula
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        from ..functions.spans_codec import formulas_to_arrow, spans_to_arrow
-
-        out: dict[str, list] = {
-            "url": [], "created": [], "kind": [], "page_no": [], "n_pages": [],
-            "status": [], "text": [], "elements_json": [], "formulas": [],
-            "spans": [], "n_regions": [], "size_bucket": [],
-            "warc_ts_us": [], "content_key": [],
-        }
-        for row in batch.to_pylist():
-            kind = row["kind"]
-            status, text, elements, formulas, spans, n_regions = "ok", "", [], [], [], 0
-            if kind == "sdoc":
-                try:
-                    page = json.loads(row["payload"])
-                    # 1-based page numbering in templates/ids (reference
-                    # autotag.py:191); row page_no stays the 0-based sort key
-                    result = process_page(
-                        page, row["page_no"] + 1, model=self.model,
-                        thresholds=self.thresholds, zoom=self.zoom,
-                        process_table=self.process_table,
-                        process_formula=self.process_formula,
-                    )
-                    text = result["text"]
-                    elements = result["elements"]
-                    formulas = result["formulas"]
-                    spans = result["spans"]
-                    n_regions = result["n_regions"]
-                except Exception as exc:  # noqa: BLE001 - error-status row
-                    status = f"page_error:{type(exc).__name__}"
-            elif kind == "html":
-                result = strip_html(row["payload"])
-                text = result["text"]
-                spans = result["spans"]
-                n_regions = len(result["spans"])
-                status = result.get("status", "ok")
-            elif kind == "error":
-                status = row["payload"]
-            # sdoc_empty: empty ok page
-
-            out["url"].append(row["url"])
-            out["created"].append(row["created"])
-            out["kind"].append(kind)
-            out["page_no"].append(row["page_no"])
-            out["n_pages"].append(row["n_pages"])
-            out["status"].append(status)
-            out["text"].append(text)
-            # elements stay JSON (recursive template trees are not
-            # struct-able); spans/formulas ride as native Arrow list<struct>
-            out["elements_json"].append(json.dumps(elements, sort_keys=False))
-            out["formulas"].append(formulas)
-            out["spans"].append(spans)
-            out["n_regions"].append(n_regions)
-            out["size_bucket"].append(row["size_bucket"])
-            out["warc_ts_us"].append(row["warc_ts_us"])
-            out["content_key"].append(row["content_key"])
-
-        return pa.table(
-            {
-                "url": pa.array(out["url"], pa.string()),
-                "created": pa.array(out["created"], pa.string()),
-                "kind": pa.array(out["kind"], pa.string()),
-                "page_no": pa.array(out["page_no"], pa.int32()),
-                "n_pages": pa.array(out["n_pages"], pa.int32()),
-                "status": pa.array(out["status"], pa.string()),
-                "text": pa.array(out["text"], pa.string()),
-                "elements_json": pa.array(out["elements_json"], pa.string()),
-                "formulas": formulas_to_arrow(out["formulas"]),
-                "spans": spans_to_arrow(out["spans"]),
-                "n_regions": pa.array(out["n_regions"], pa.int32()),
-                "size_bucket": pa.array(out["size_bucket"], pa.int32()),
-                "warc_ts_us": pa.array(out["warc_ts_us"], pa.int64()),
-                "content_key": pa.array(out["content_key"], pa.string()),
-            }
-        )

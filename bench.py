@@ -254,12 +254,6 @@ def run_bench() -> dict:
     import pyarrow.dataset as pads
 
     n_docs = pads.dataset(out_dir).count_rows()
-    stats_path = f"/tmp/bench_stats_{num_cpus}.txt"
-    try:
-        with open(stats_path, "w") as f:
-            f.write(ds.stats())
-    except Exception:
-        pass
 
     # --- operator suite ---------------------------------------------------
     # query_t_start records each query's offset (sec) into the bench
@@ -267,12 +261,6 @@ def run_bench() -> dict:
     # window after the fact (together with the probe above).
     queries: dict[str, float] = {"extract": round(headline_sec, 3)}
     query_t_start: dict[str, float] = {"extract": 0.0}
-    if not os.environ.get("GRAFT_SKIP_QUERIES"):
-        # page-parallel alternative path, same corpus, for comparison
-        t0 = time.time()
-        query_t_start["extract_sort_path"] = round(t0 - session_t0, 1)
-        extract_pipeline(pages, regroup="sort").count()
-        queries["extract_sort_path"] = round(time.time() - t0, 3)
     q = entry_mod.queries()
     for name in [] if os.environ.get("GRAFT_SKIP_QUERIES") else BENCH_QUERIES:
         t0 = time.time()

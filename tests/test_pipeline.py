@@ -49,16 +49,6 @@ def test_pipeline_deterministic_across_parallelism(ray_session, pages_path):
     assert a.equals(b)
 
 
-def test_sort_regroup_matches_colocate(ray_session, pages_path):
-    """The shuffle-free colocate path and the sort-exchange path agree."""
-    path, _ = pages_path
-    a = extract_pipeline(path, regroup="colocate", concurrency=(1, 2)).to_pandas()
-    b = extract_pipeline(path, regroup="sort", concurrency=(1, 2)).to_pandas()
-    a = a.sort_values("url").reset_index(drop=True)
-    b = b.sort_values("url").reset_index(drop=True)
-    assert a.equals(b)
-
-
 def test_spans_dataset_explodes(ray_session, pages_path):
     path, table = pages_path
     docs = extract_pipeline(path, concurrency=(1, 2))
@@ -67,13 +57,3 @@ def test_spans_dataset_explodes(ray_session, pages_path):
     assert len(spans) == golden_spans
     assert {"url", "label", "reading_order"} <= set(spans.columns)
 
-
-def test_no_dedup_mode(ray_session, pages_path):
-    path, table = pages_path
-    n_urls = len(set(table.column("url").to_pylist()))
-    # sort regroup: duplicate crawls meet in the assembly group and the
-    # late-dedup winner rule still collapses them to one row per url
-    out = extract_pipeline(
-        path, dedup=False, regroup="sort", concurrency=(1, 2)
-    ).to_pandas()
-    assert len(out) == n_urls

@@ -1,10 +1,11 @@
-"""Error-row semantics through both pipeline paths (no task crashes)."""
+"""Error-row semantics through the pipeline (no task crashes)."""
 
 import datetime as dt
 
 import pyarrow as pa
 import pyarrow.parquet as pq
 import pytest
+import ray.data
 
 from action_pdf_accessibility_paddle_docker_ray.pipelines.extract import (
     extract_pipeline,
@@ -32,9 +33,13 @@ def messy_path(tmp_path_factory):
     return path
 
 
-@pytest.mark.parametrize("regroup", ["colocate", "sort"])
-def test_error_rows_not_crashes(ray_session, messy_path, regroup):
-    out = extract_pipeline(messy_path, regroup=regroup, concurrency=(1, 2)).to_pandas()
+# the two stale-crawl steps in front of DocProcessor: the parquet path
+# ("colocate": the stale-filter routes) and a Dataset source ("dataset":
+# the dedup_latest exchange)
+@pytest.mark.parametrize("source", ["colocate", "dataset"])
+def test_error_rows_not_crashes(ray_session, messy_path, source):
+    src = messy_path if source == "colocate" else ray.data.read_parquet(messy_path)
+    out = extract_pipeline(src, concurrency=(1, 2)).to_pandas()
     by_url = {r.url: r for r in out.itertuples(index=False)}
     assert len(by_url) == 4
     assert by_url["https://x/corrupt"].status.startswith("parse_error")

@@ -3,6 +3,7 @@ same-max-ts conflicts, distributed component labels, SQL-oracle kernel
 parity, quantized LSH exactness."""
 
 import datetime as dt
+import re
 
 import numpy as np
 import pandas as pd
@@ -37,8 +38,9 @@ def _conflict_table() -> pa.Table:
 
 
 def test_three_dedup_paths_pick_identical_winner(ray_session, tmp_path):
-    """oracle.dedup_latest, the early groupby dedup and the late (assembly)
-    dedup must select the same winner for same-max-ts conflicting crawls."""
+    """oracle.dedup_latest, the grouped dedup exchange and the pipeline on a
+    Dataset source must select the same winner for same-max-ts conflicting
+    crawls."""
     import ray.data
 
     from action_pdf_accessibility_paddle_docker_ray.oracle import (
@@ -57,8 +59,11 @@ def test_three_dedup_paths_pick_identical_winner(ray_session, tmp_path):
     for r in early.itertuples(index=False):
         assert bytes(r.html) == golden[r.url], r.url
 
-    # late dedup via the sort plan (Dataset source forces it)
-    out = extract_pipeline(ray.data.from_arrow(t), concurrency=(1, 2)).to_pandas()
+    # a Dataset source runs the grouped dedup exchange before DocProcessor
+    ds = extract_pipeline(ray.data.from_arrow(t), concurrency=(1, 2)).materialize()
+    ops = set(re.findall(r"MapBatches\((\w+)\)", ds.stats()))
+    assert ops == {"best_per_url_table", "DocProcessor"}, ops
+    out = ds.to_pandas()
     assert len(out) == 3
     from action_pdf_accessibility_paddle_docker_ray.oracle import oracle_extract
 

@@ -176,12 +176,6 @@ def test_gpu_seam_reaches_map_batches(ray_session, tmp_path, monkeypatch):
     assert det and det[-1]["num_cpus"] == 1
     assert "num_gpus" not in det[-1] and "resources" not in det[-1]
 
-    # sort path pins the PageProcessor stage the same way
-    calls.clear()
-    ex.extract_pipeline(src, regroup="sort", num_gpus=0.5)
-    det = [kw for name, kw in calls if name == "PageProcessor"]
-    assert det and det[-1]["num_gpus"] == 0.5 and det[-1]["num_cpus"] == 0
-
 
 def test_warc_gz_roundtrip_and_ranged_read(tmp_path):
     """Gzip-member framing: every record recoverable, and — the property

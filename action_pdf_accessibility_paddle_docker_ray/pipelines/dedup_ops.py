@@ -413,10 +413,11 @@ def _empty_pair_frame() -> pd.DataFrame:
 
 def _attach_payload(
     pairs: ray.data.Dataset, docs_payload: ray.data.Dataset, key: str, fill: str,
-    dedupe: bool = False,
+    dedupe: bool = False, missing: str | None = "|",
 ) -> ray.data.Dataset:
     """Bucketed hash join: pairs.<key> ⋈ docs_payload.doc_id, filling the
-    ``fill`` column with the doc's packed payload string.
+    ``fill`` column with the doc's packed payload string (``missing`` for a
+    pair whose doc lookup missed; None leaves it null).
 
     Both sides co-locate on ``key % VERIFY_BUCKETS``; the exchange ships the
     (small) candidate pair rows and ONE copy of each doc's payload — never
@@ -466,9 +467,12 @@ def _attach_payload(
             # land in THIS bucket — a local drop is a global distinct
             out = out.drop_duplicates(["a", "b"])
         lookup = dict(zip(d["doc_id"], d["doc_payload"]))
-        # a pair whose doc lookup missed gets the VALID empty payload "|"
-        # (sig part empty, text empty) — `_unpack_payload("")` would raise
-        out[fill] = out[key].map(lookup).fillna("|").astype("object")
+        # the default fill is the VALID empty packed payload "|" (sig part
+        # empty, text empty) — `_unpack_payload("")` would raise
+        payload = out[key].map(lookup)
+        out[fill] = (payload if missing is None else payload.fillna(missing)).astype(
+            "object"
+        )
         return out
 
     return grouped_block_map(both, ["bucket"], join_bucket)
@@ -2104,12 +2108,21 @@ def _wordset_verify(
 
         docs_payload = docs.map_batches(pack, batch_format="pandas")
         step = pairs.map_batches(seed_pairs, batch_format="pandas")
-        step = _attach_payload(step, docs_payload, "a", "payload_a", dedupe=True)
-        step = _attach_payload(step, docs_payload, "b", "payload_b")
+        # raw-text payloads: a missed lookup stays null and verify raises
+        step = _attach_payload(
+            step, docs_payload, "a", "payload_a", dedupe=True, missing=None
+        )
+        step = _attach_payload(step, docs_payload, "b", "payload_b", missing=None)
 
     def verify(df: pd.DataFrame) -> pd.DataFrame:
         if len(df) == 0:
             return _empty()
+        missed = df["payload_a"].isna() | df["payload_b"].isna()
+        if missed.any():
+            raise KeyError(
+                "no doc for candidate pairs "
+                f"{list(zip(df['a'][missed], df['b'][missed]))[:5]}"
+            )
         memo: dict[int, frozenset] = {}
 
         def wset(doc_id: int, text: str) -> frozenset:

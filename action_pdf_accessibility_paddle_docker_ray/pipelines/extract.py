@@ -535,20 +535,6 @@ def extract_to_parquet(source: str, out_dir: str, **kwargs: Any) -> None:
     ds.write_parquet(out_dir, partition_cols=["size_bucket"])
 
 
-def extract_all_to_parquet(source: str, out_dir: str, **kwargs: Any) -> None:
-    """Write all three output tables: docs (one pipeline execution), then
-    spans and formulas derived by RE-READING the written docs parquet —
-    cheap column scans instead of re-executing the extraction twice."""
-    import os
-
-    extract_to_parquet(source, os.path.join(out_dir, "docs"), **kwargs)
-    docs = ray.data.read_parquet(
-        os.path.join(out_dir, "docs"), columns=["url", "spans_json", "formulas_json"]
-    )
-    spans_dataset(docs).write_parquet(os.path.join(out_dir, "spans"))
-    formulas_dataset(docs).write_parquet(os.path.join(out_dir, "formulas"))
-
-
 def formulas_dataset(docs: ray.data.Dataset) -> ray.data.Dataset:
     """Explode doc rows into the per-url formula table (url, formula_id,
     mathml) — the materialized result of the formula-id ⋈ element join

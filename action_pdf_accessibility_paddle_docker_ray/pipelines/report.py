@@ -2,8 +2,9 @@
 "groupby-aggregate over partition metrics feeding a throughput report").
 
 Two sources of metrics:
-- ``state.manifest.metrics_report``: folded from the per-shard lineage
-  manifests of a resumable run (docs/sec, bytes/sec, per-chunk wall);
+- ``state.manifest.metrics_report``: folded from the per-chunk lineage
+  manifests of a resumable run (docs/sec, bytes/sec over the run's wall,
+  per-chunk wall);
 - ``output_report`` here: a Ray ``groupby(size_bucket).aggregate`` over
   the output docs dataset — per-size-class doc/page/region counts and
   error tallies, computed distributed and returned as one small frame.

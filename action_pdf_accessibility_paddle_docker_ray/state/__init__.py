@@ -1,5 +1,6 @@
-"""Resumable execution state: per-partition lineage manifests."""
+"""Resumable execution state: one checkpoint protocol, lineage manifests."""
 
-from .manifest import load_manifest, metrics_report, run_resumable
+from .checkpoint import load_manifest
+from .manifest import metrics_report, run_resumable
 
 __all__ = ["run_resumable", "load_manifest", "metrics_report"]

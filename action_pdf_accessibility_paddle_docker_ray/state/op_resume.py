@@ -1,104 +1,130 @@
-"""Resumable sinks for the expensive op families (VERDICT r3 Missing #5).
+"""Resumable sinks for the expensive op families.
 
-The flagship extraction resumes per INPUT shard (``manifest.py``).  The
-corpus-global ops (``dedup_corpus``, ``paragraph_dedup``) cannot shard
-their input — every output row depends on the whole corpus — so their
-resume unit is different:
+The flagship extraction resumes per chunk of input shards
+(``manifest.py``).  The corpus-global ops (``dedup_corpus``,
+``paragraph_dedup``, ...) cannot shard their input — every output row
+depends on the whole corpus — so their units are different.  Every unit
+goes through the shared checkpoint protocol (``checkpoint.py``: one run
+key over ``documents.parquet``'s (name, size, mtime_ns), the op's
+parameters including ``n_buckets`` and the engine version; atomic unit
+publish; start-of-run sweep of everything not committed under the key):
 
-- **Phase A (global state checkpoint)**: the expensive corpus-wide
-  computation (minhash clusters / paragraph winners) is written once to
-  ``<out>/_state/`` as parquet, with a ``state.json`` carrying the input
-  fingerprint + parameters.  A restart whose fingerprint matches reloads
-  the state instead of recomputing — that is where the hours go at scale.
-- **Phase B (per-bucket finish)**: the remaining work is embarrassingly
-  parallel per doc bucket (``doc_id % n_buckets``).  Each bucket's output
-  is written to its own directory via temp-dir + atomic rename, then a
-  manifest JSON commits it; a restart skips committed buckets.  A crash
-  mid-bucket leaves no partial partition (the temp dir is discarded).
+- **Phase A, unit ``_state``**: the expensive corpus-wide computation
+  (the drop set of a dedup, paragraph winners, dup windows) is written
+  once as parquet.  A restart under the same key reloads it instead of
+  recomputing — that is where the hours go at scale.
+- **Phase B, units ``bucket-<b>``**: the remaining work is embarrassingly
+  parallel per doc bucket (``doc_id % n_buckets``); a restart skips the
+  committed buckets.  A changed input, parameter or bucket count changes
+  the key, so the sweep drops every old bucket and the state with it.
+- **PageRank**: each iteration's rank table is unit ``iter-<k>``, the
+  final table unit ``ranks``.
 
 The same pattern is the 100 TB shape: phase A is the all-to-all the
 engine must pay once; phase B streams, bucket by bucket, and a failed
-run re-pays only its unfinished buckets.
+run re-pays only its unfinished units.
 """
 
 from __future__ import annotations
 
-import glob
-import json
 import os
-import shutil
-import time
-from typing import Any
+from typing import Any, Callable
 
 import pandas as pd
 
-from .. import __version__ as ENGINE_VERSION
+from .checkpoint import Checkpoint
+
+STATE = "_state"
 
 
 def _identity_pandas(df: pd.DataFrame) -> pd.DataFrame:
     return df
 
 
-def _table_fingerprint(sf_dir: str, table: str) -> dict:
-    path = os.path.join(sf_dir, f"{table}.parquet")
-    st = os.stat(path)
-    return {"name": os.path.basename(path), "bytes": st.st_size}
+def _checkpoint(sf_dir: str, out_dir: str, params: dict) -> Checkpoint:
+    return Checkpoint(out_dir, [os.path.join(sf_dir, "documents.parquet")], params)
 
 
-def _atomic_write_json(path: str, obj: dict) -> None:
-    tmp = path + ".tmp"
-    with open(tmp, "w") as f:
-        json.dump(obj, f, indent=1)
-    os.replace(tmp, path)
+def _state(ck: Checkpoint, write: Callable[[str], dict | None]) -> tuple[dict, bool]:
+    """Phase A: the committed ``_state`` record, or publish it now."""
+    record = ck.done(STATE)
+    return (record, True) if record else (ck.publish(STATE, write), False)
 
 
-def _state_valid(state_dir: str, fingerprint: dict, params: dict) -> bool:
-    meta_path = os.path.join(state_dir, "state.json")
-    if not os.path.exists(meta_path):
-        return False
-    with open(meta_path) as f:
-        meta = json.load(f)
-    return meta.get("fingerprint") == fingerprint and meta.get("params") == params
+def _buckets(
+    ck: Checkpoint, n_buckets: int, bucket_ds: Callable[[int], Any], state_reused: bool,
+) -> dict:
+    """Phase B: publish every bucket not committed under the run key."""
+    run, skipped, rows = 0, 0, 0
+    for b in range(n_buckets):
+        if ck.done(f"bucket-{b}"):
+            skipped += 1
+            continue
+        rows += ck.publish_dataset(f"bucket-{b}", bucket_ds(b))["rows"]
+        run += 1
+    return {
+        "buckets_total": n_buckets,
+        "buckets_skipped": skipped,
+        "buckets_run": run,
+        "state_reused": state_reused,
+        "rows_written": rows,
+        "wall_sec": ck.elapsed(),
+    }
 
 
-def _load_bucket_manifests(out_dir: str) -> dict[int, dict]:
-    entries: dict[int, dict] = {}
-    for p in sorted(glob.glob(os.path.join(out_dir, "_manifest", "bucket-*.json"))):
-        with open(p) as f:
-            e = json.load(f)
-        entries[int(e["bucket"])] = e
-    return entries
+def _map_bucket(
+    sf_dir: str, columns: list[str], n_buckets: int, b: int, fn: Callable,
+) -> Any:
+    """``fn(df)`` over bucket ``b``'s rows of the documents table."""
+    from ..sources.pages import read_table
 
+    def bucket_fn(df: pd.DataFrame) -> pd.DataFrame:
+        return fn(df[df["doc_id"].astype("int64") % n_buckets == b])
 
-def _commit_bucket(
-    out_dir: str, bucket: int, fingerprint: dict, params: dict,
-    n_rows: int, wall: float,
-) -> None:
-    _atomic_write_json(
-        os.path.join(out_dir, "_manifest", f"bucket-{bucket}.json"),
-        {
-            "bucket": bucket,
-            "fingerprint": fingerprint,
-            "params": params,
-            "rows": n_rows,
-            "wall_sec": round(wall, 3),
-            "engine_version": ENGINE_VERSION,
-            "committed_at": time.strftime("%Y-%m-%dT%H:%M:%S"),
-        },
+    return read_table(sf_dir, "documents", columns=columns).map_batches(
+        bucket_fn, batch_format="pandas"
     )
 
 
-def _write_bucket(ds: "Any", out_dir: str, bucket: int) -> int:
-    """Write one bucket's dataset via temp dir + atomic rename; returns rows."""
-    final_dir = os.path.join(out_dir, f"bucket-{bucket}")
-    tmp_dir = final_dir + ".tmp"
-    shutil.rmtree(tmp_dir, ignore_errors=True)
-    shutil.rmtree(final_dir, ignore_errors=True)
-    ds.write_parquet(tmp_dir)
-    os.replace(tmp_dir, final_dir)
-    import pyarrow.dataset as pads
+def _drop_set_run(
+    sf_dir: str, out_dir: str, params: dict, build: Callable[[], tuple],
+    columns: list[str], keep: Callable,
+) -> dict:
+    """The drop-set runners: phase A checkpoints the doc_ids the op drops
+    (``build() -> (DataFrame | dataset | None, scalar fields)``), phase B writes
+    ``keep(bucket_df, dropped, state_record)`` per bucket."""
+    import ray
 
-    return pads.dataset(final_dir).count_rows()
+    ck = _checkpoint(sf_dir, out_dir, params)
+
+    def write_state(tmp: str) -> dict:
+        df, fields = build()
+        if df is not None and not isinstance(df, pd.DataFrame):
+            df = df.to_pandas()
+        if df is None or "doc_id" not in df.columns:  # zero losers: Ray drops
+            df = pd.DataFrame({"doc_id": pd.Series([], dtype="int64")})
+        df[["doc_id"]].to_parquet(os.path.join(tmp, "drop.parquet"), index=False)
+        return fields
+
+    state, reused = _state(ck, write_state)
+    drop = pd.read_parquet(os.path.join(ck.path(STATE), "drop.parquet"))
+    # drop-set-sized (never corpus-sized): one broadcast
+    drop_ref = ray.put(frozenset(int(d) for d in drop["doc_id"]))
+    n = params["n_buckets"]
+    return _buckets(ck, n, lambda b: _map_bucket(
+        sf_dir, columns, n, b, lambda df: keep(df, ray.get(drop_ref), state)
+    ), reused)
+
+
+def _kept_ids(df: pd.DataFrame, dropped: frozenset) -> pd.DataFrame:
+    ids = df["doc_id"].astype("int64")
+    return pd.DataFrame({"doc_id": ids[~ids.isin(dropped)]})
+
+
+def _minhash_params(op: str, n_buckets: int, num_perm: int, bands: int,
+                    threshold: float, shingle_k: int) -> dict:
+    return {"op": op, "n_buckets": n_buckets, "num_perm": num_perm, "bands": bands,
+            "threshold": threshold, "shingle_k": shingle_k}
 
 
 def run_dedup_corpus_resumable(
@@ -106,186 +132,107 @@ def run_dedup_corpus_resumable(
     out_dir: str,
     *,
     n_buckets: int = 8,
-    stop_after_buckets: int | None = None,
     num_perm: int = 126,
     bands: int = 42,
     threshold: float = 0.7,
     shingle_k: int = 5,
 ) -> dict:
-    """Resumable ``dedup_corpus``: checkpoint the minhash cluster table
-    (phase A), then filter + write the keep set per doc bucket (phase B).
-
-    ``stop_after_buckets`` exists for crash-injection in tests."""
-    import ray
-
+    """Resumable ``dedup_corpus``: checkpoint the minhash cluster losers
+    (phase A), then write the keep set per doc bucket (phase B)."""
     from ..pipelines.dedup_ops import minhash_dedup
-    from ..sources.pages import read_table
 
-    params = {
-        "op": "dedup_corpus", "n_buckets": n_buckets, "num_perm": num_perm,
-        "bands": bands, "threshold": threshold, "shingle_k": shingle_k,
-    }
-    fingerprint = _table_fingerprint(sf_dir, "documents")
-    state_dir = os.path.join(out_dir, "_state")
-    os.makedirs(state_dir, exist_ok=True)
-    os.makedirs(os.path.join(out_dir, "_manifest"), exist_ok=True)
+    params = _minhash_params("dedup_corpus", n_buckets, num_perm, bands, threshold,
+                             shingle_k)
 
-    clusters_path = os.path.join(state_dir, "clusters.parquet")
-    state_reused = _state_valid(state_dir, fingerprint, params)
-    if not state_reused:
-        clusters = minhash_dedup(
-            sf_dir, num_perm=num_perm, bands=bands, threshold=threshold,
-            shingle_k=shingle_k,
-        )
-        tmp = clusters_path + ".tmp"
-        clusters.to_parquet(tmp, index=False)
-        os.replace(tmp, clusters_path)
-        _atomic_write_json(
-            os.path.join(state_dir, "state.json"),
-            {"fingerprint": fingerprint, "params": params},
-        )
-    else:
-        clusters = pd.read_parquet(clusters_path)
+    def build() -> tuple:
+        clusters = minhash_dedup(sf_dir, num_perm=num_perm, bands=bands,
+                                 threshold=threshold, shingle_k=shingle_k)
+        losers = clusters.loc[clusters["doc_id"] != clusters["rep_id"], ["doc_id"]]
+        return losers, None
 
-    drop = frozenset(
-        int(d) for d, r in zip(clusters["doc_id"], clusters["rep_id"]) if d != r
-    )
-    drop_ref = ray.put(drop)
-
-    done = _load_bucket_manifests(out_dir)
-    buckets_run, skipped, total_rows = 0, 0, 0
-    t_run = time.time()
-    for b in range(n_buckets):
-        e = done.get(b)
-        if e and e["fingerprint"] == fingerprint and e["params"] == params:
-            skipped += 1
-            continue
-        if stop_after_buckets is not None and buckets_run >= stop_after_buckets:
-            break
-        t0 = time.time()
-        nb = n_buckets
-        bucket = b
-
-        def keep_fn(df: pd.DataFrame) -> pd.DataFrame:
-            dropped = ray.get(drop_ref)
-            ids = df["doc_id"].astype("int64")
-            keep = (ids % nb == bucket) & ~ids.isin(dropped)
-            return pd.DataFrame({"doc_id": ids[keep]})
-
-        ds = read_table(sf_dir, "documents", columns=["doc_id"]).map_batches(
-            keep_fn, batch_format="pandas"
-        )
-        n_rows = _write_bucket(ds, out_dir, b)
-        _commit_bucket(out_dir, b, fingerprint, params, n_rows, time.time() - t0)
-        total_rows += n_rows
-        buckets_run += 1
-
-    return {
-        "buckets_total": n_buckets,
-        "buckets_skipped": skipped,
-        "buckets_run": buckets_run,
-        "state_reused": state_reused,
-        "rows_written": total_rows,
-        "wall_sec": round(time.time() - t_run, 3),
-    }
+    return _drop_set_run(sf_dir, out_dir, params, build, ["doc_id"],
+                         lambda df, dropped, _: _kept_ids(df, dropped))
 
 
-def run_paragraph_dedup_resumable(
+def run_dedup_keep_best_resumable(
     sf_dir: str,
     out_dir: str,
     *,
     n_buckets: int = 8,
-    stop_after_buckets: int | None = None,
+    num_perm: int = 126,
+    bands: int = 42,
+    threshold: float = 0.7,
+    shingle_k: int = 5,
 ) -> dict:
-    """Resumable ``paragraph_dedup``: checkpoint the corpus-wide paragraph
-    winner table partitioned by doc bucket (phase A — the one grouped
-    exchange on ``para``), then reassemble + write per bucket (phase B,
-    reads only that bucket's winner partition)."""
-    from ..pipelines.text_ops import (
-        _para_assemble,
-        _para_seeds,
-        paragraph_winners,
+    """Resumable ``dedup_keep_best``: phase A checkpoints the loser drop
+    table (``keep_best_drop_ds`` — the minhash clusters plus the one
+    grouped per-cluster argmax exchange), phase B writes survivors per doc
+    bucket."""
+    from ..pipelines.dedup_ops import keep_best_drop_ds
+
+    params = _minhash_params("dedup_keep_best", n_buckets, num_perm, bands, threshold,
+                             shingle_k)
+    return _drop_set_run(
+        sf_dir, out_dir, params,
+        lambda: (keep_best_drop_ds(sf_dir, num_perm=num_perm, bands=bands,
+                                   threshold=threshold, shingle_k=shingle_k), None),
+        ["doc_id"], lambda df, dropped, _: _kept_ids(df, dropped),
     )
-    from ..pipelines.util import grouped_block_map
-    from ..sources.pages import read_table
 
-    import ray.data
 
-    params = {"op": "paragraph_dedup", "n_buckets": n_buckets}
-    fingerprint = _table_fingerprint(sf_dir, "documents")
-    state_dir = os.path.join(out_dir, "_state")
-    os.makedirs(state_dir, exist_ok=True)
-    os.makedirs(os.path.join(out_dir, "_manifest"), exist_ok=True)
+def run_incremental_fuzzy_dedup_resumable(
+    sf_dir: str,
+    out_dir: str,
+    *,
+    n_buckets: int = 8,
+    num_perm: int = 126,
+    bands: int = 42,
+    threshold: float = 0.7,
+    shingle_k: int = 5,
+) -> dict:
+    """Resumable ``incremental_fuzzy_dedup``: phase A checkpoints the
+    verified cross-side drop table plus the id-median ``split`` scalar
+    (``incremental_fuzzy_drop_ds`` — the LSH + exact-verify exchange),
+    phase B writes the surviving NEW-side ids per doc bucket."""
+    from ..pipelines.dedup_ops import incremental_fuzzy_drop_ds
 
-    winners_dir = os.path.join(state_dir, "winners")
-    state_reused = _state_valid(state_dir, fingerprint, params)
-    if not state_reused:
-        docs = read_table(sf_dir, "documents", columns=["doc_id", "text"])
-        winners = paragraph_winners(docs)
-        nb = n_buckets
+    params = _minhash_params("incremental_fuzzy_dedup", n_buckets, num_perm, bands,
+                             threshold, shingle_k)
 
-        def add_bucket(df: pd.DataFrame) -> pd.DataFrame:
-            df = df.copy()
-            df["doc_bucket"] = (df["doc_id"].astype("int64") % nb).astype("int64")
-            return df
-
-        tmp_dir = winners_dir + ".tmp"
-        shutil.rmtree(tmp_dir, ignore_errors=True)
-        shutil.rmtree(winners_dir, ignore_errors=True)
-        winners.map_batches(add_bucket, batch_format="pandas").write_parquet(
-            tmp_dir, partition_cols=["doc_bucket"]
+    def build() -> tuple:
+        drop_ds, split = incremental_fuzzy_drop_ds(
+            sf_dir, num_perm=num_perm, bands=bands, threshold=threshold,
+            shingle_k=shingle_k,
         )
-        os.replace(tmp_dir, winners_dir)
-        _atomic_write_json(
-            os.path.join(state_dir, "state.json"),
-            {"fingerprint": fingerprint, "params": params},
-        )
+        return drop_ds, {"split": int(split)}
 
-    done = _load_bucket_manifests(out_dir)
-    buckets_run, skipped, total_rows = 0, 0, 0
-    t_run = time.time()
-    for b in range(n_buckets):
-        e = done.get(b)
-        if e and e["fingerprint"] == fingerprint and e["params"] == params:
-            skipped += 1
-            continue
-        if stop_after_buckets is not None and buckets_run >= stop_after_buckets:
-            break
-        t0 = time.time()
-        nb = n_buckets
-        bucket = b
+    def keep(df: pd.DataFrame, dropped: frozenset, state: dict) -> pd.DataFrame:
+        return _kept_ids(df[df["doc_id"].astype("int64") >= state["split"]], dropped)
 
-        def bucket_seeds(df: pd.DataFrame) -> pd.DataFrame:
-            df = df[df["doc_id"].astype("int64") % nb == bucket]
-            return _para_seeds(df)
+    return _drop_set_run(sf_dir, out_dir, params, build, ["doc_id"], keep)
 
-        seeds = read_table(sf_dir, "documents", columns=["doc_id", "text"]).map_batches(
-            bucket_seeds, batch_format="pandas"
-        )
-        part_dir = os.path.join(winners_dir, f"doc_bucket={b}")
-        if os.path.isdir(part_dir):
-            w = ray.data.read_parquet(
-                part_dir, columns=["para", "doc_id", "i", "n_paras"]
-            ).map_batches(_identity_pandas, batch_format="pandas")
-            # (^ normalizes to pandas blocks: union of Arrow-read blocks
-            #    with the pandas seed blocks breaks the downstream sort)
-            both = w.union(seeds)
-        else:  # no winner landed in this bucket: seeds alone
-            both = seeds
-        out = grouped_block_map(both, ["doc_id"], _para_assemble)
-        n_rows = _write_bucket(out, out_dir, b)
-        _commit_bucket(out_dir, b, fingerprint, params, n_rows, time.time() - t0)
-        total_rows += n_rows
-        buckets_run += 1
 
-    return {
-        "buckets_total": n_buckets,
-        "buckets_skipped": skipped,
-        "buckets_run": buckets_run,
-        "state_reused": state_reused,
-        "rows_written": total_rows,
-        "wall_sec": round(time.time() - t_run, 3),
-    }
+def run_corpus_curate_resumable(
+    sf_dir: str,
+    out_dir: str,
+    *,
+    n_buckets: int = 8,
+    seed: int = 7,
+) -> dict:
+    """Resumable ``corpus_curate``: phase A checkpoints ONLY the dedup
+    loser set (``curate_dup_losers_ds`` — the single corpus-global
+    decision in the composite; loser-count-sized, empty on a clean
+    corpus), phase B recomputes the stateless quality gate + stratified
+    sampler per doc bucket (free — pure per-row kernels).  The output
+    union is bit-identical to ``corpus_curate``."""
+    from ..pipelines.sampling import curate_dup_losers_ds, curate_keep_mask
+
+    params = {"op": "corpus_curate", "n_buckets": n_buckets, "seed": seed}
+    return _drop_set_run(
+        sf_dir, out_dir, params, lambda: (curate_dup_losers_ds(sf_dir), None),
+        ["doc_id", "lang", "text"],
+        lambda df, losers, _: curate_keep_mask(df, losers, seed),
+    )
 
 
 def run_substring_dedup_resumable(
@@ -293,7 +240,6 @@ def run_substring_dedup_resumable(
     out_dir: str,
     *,
     n_buckets: int = 8,
-    stop_after_buckets: int | None = None,
 ) -> dict:
     """Resumable ``substring_dedup``: checkpoint the corpus-wide
     dup-window table (h, keeper) — phase A, the one grouped exchange —
@@ -304,63 +250,62 @@ def run_substring_dedup_resumable(
     from ..pipelines.text_ops import _SUBDUP_K, subdup_dup_ds, subdup_scrub_df
     from ..sources.pages import read_table
 
-    params = {"op": "substring_dedup", "n_buckets": n_buckets, "k": _SUBDUP_K}
-    fingerprint = _table_fingerprint(sf_dir, "documents")
-    state_dir = os.path.join(out_dir, "_state")
-    os.makedirs(state_dir, exist_ok=True)
-    os.makedirs(os.path.join(out_dir, "_manifest"), exist_ok=True)
-
-    dup_path = os.path.join(state_dir, "dup_windows.parquet")
-    state_reused = _state_valid(state_dir, fingerprint, params)
-    if not state_reused:
-        docs = read_table(sf_dir, "documents", columns=["doc_id", "text"])
-        dup_df = subdup_dup_ds(docs).to_pandas()
-        tmp = dup_path + ".tmp"
-        dup_df.to_parquet(tmp, index=False)
-        os.replace(tmp, dup_path)
-        _atomic_write_json(
-            os.path.join(state_dir, "state.json"),
-            {"fingerprint": fingerprint, "params": params},
-        )
-    else:
-        dup_df = pd.read_parquet(dup_path)
-
+    ck = _checkpoint(sf_dir, out_dir,
+                     {"op": "substring_dedup", "n_buckets": n_buckets, "k": _SUBDUP_K})
+    _, reused = _state(ck, lambda tmp: subdup_dup_ds(
+        read_table(sf_dir, "documents", columns=["doc_id", "text"])
+    ).to_pandas().to_parquet(os.path.join(tmp, "dup_windows.parquet"), index=False))
+    dup_df = pd.read_parquet(os.path.join(ck.path(STATE), "dup_windows.parquet"))
     dup_ref = ray.put(dict(zip(dup_df["h"], dup_df["keeper"].astype(int))))
+    return _buckets(ck, n_buckets, lambda b: _map_bucket(
+        sf_dir, ["doc_id", "text"], n_buckets, b,
+        lambda df: subdup_scrub_df(df, ray.get(dup_ref)),
+    ), reused)
 
-    done = _load_bucket_manifests(out_dir)
-    buckets_run, skipped, total_rows = 0, 0, 0
-    t_run = time.time()
-    for b in range(n_buckets):
-        e = done.get(b)
-        if e and e["fingerprint"] == fingerprint and e["params"] == params:
-            skipped += 1
-            continue
-        if stop_after_buckets is not None and buckets_run >= stop_after_buckets:
-            break
-        t0 = time.time()
-        nb = n_buckets
-        bucket = b
 
-        def scrub_bucket(df: pd.DataFrame) -> pd.DataFrame:
-            df = df[df["doc_id"].astype("int64") % nb == bucket]
-            return subdup_scrub_df(df, ray.get(dup_ref))
+def run_paragraph_dedup_resumable(
+    sf_dir: str,
+    out_dir: str,
+    *,
+    n_buckets: int = 8,
+) -> dict:
+    """Resumable ``paragraph_dedup``: checkpoint the corpus-wide paragraph
+    winner table partitioned by doc bucket (phase A — the one grouped
+    exchange on ``para``), then reassemble + write per bucket (phase B,
+    reads only that bucket's winner partition)."""
+    import ray.data
 
-        ds = read_table(sf_dir, "documents", columns=["doc_id", "text"]).map_batches(
-            scrub_bucket, batch_format="pandas"
-        )
-        n_rows = _write_bucket(ds, out_dir, b)
-        _commit_bucket(out_dir, b, fingerprint, params, n_rows, time.time() - t0)
-        total_rows += n_rows
-        buckets_run += 1
+    from ..pipelines.text_ops import _para_assemble, _para_seeds, paragraph_winners
+    from ..pipelines.util import grouped_block_map
+    from ..sources.pages import read_table
 
-    return {
-        "buckets_total": n_buckets,
-        "buckets_skipped": skipped,
-        "buckets_run": buckets_run,
-        "state_reused": state_reused,
-        "rows_written": total_rows,
-        "wall_sec": round(time.time() - t_run, 3),
-    }
+    ck = _checkpoint(sf_dir, out_dir, {"op": "paragraph_dedup", "n_buckets": n_buckets})
+
+    def add_bucket(df: pd.DataFrame) -> pd.DataFrame:
+        df = df.copy()
+        df["doc_bucket"] = (df["doc_id"].astype("int64") % n_buckets).astype("int64")
+        return df
+
+    _, reused = _state(ck, lambda tmp: paragraph_winners(
+        read_table(sf_dir, "documents", columns=["doc_id", "text"])
+    ).map_batches(add_bucket, batch_format="pandas").write_parquet(
+        os.path.join(tmp, "winners"), partition_cols=["doc_bucket"]
+    ))
+
+    def bucket_ds(b: int) -> Any:
+        seeds = _map_bucket(sf_dir, ["doc_id", "text"], n_buckets, b, _para_seeds)
+        part_dir = os.path.join(ck.path(STATE), "winners", f"doc_bucket={b}")
+        if os.path.isdir(part_dir):
+            w = ray.data.read_parquet(
+                part_dir, columns=["para", "doc_id", "i", "n_paras"]
+            ).map_batches(_identity_pandas, batch_format="pandas")
+            # (^ normalizes to pandas blocks: union of Arrow-read blocks
+            #    with the pandas seed blocks breaks the downstream sort)
+            seeds = w.union(seeds)
+        # else no winner landed in this bucket: seeds alone
+        return grouped_block_map(seeds, ["doc_id"], _para_assemble)
+
+    return _buckets(ck, n_buckets, bucket_ds, reused)
 
 
 def run_pagerank_resumable(
@@ -368,388 +313,60 @@ def run_pagerank_resumable(
     out_dir: str,
     *,
     iters: int = 5,
-    stop_after_iters: int | None = None,
 ) -> dict:
     """Resumable PageRank: the ITERATIVE-state member of the resumable
-    family — each iteration's full (node, r) rank table checkpoints to
-    ``<out>/_state/iter_<k>/`` (temp-dir + atomic rename + manifest), so
-    a crash in iteration k+1 restarts from the committed iteration k
-    instead of iteration 0.  At scale each lost iteration is a full
-    corpus exchange — exactly the work a checkpoint is for; integer rank
-    arithmetic makes the resumed trajectory bit-identical to a straight
-    run.
+    family — each iteration's full (node, r) rank table is unit
+    ``iter-<k>``, so a crash in iteration k+1 restarts from the committed
+    iteration k instead of iteration 0.  At scale each lost iteration is
+    a full corpus exchange — exactly the work a checkpoint is for;
+    integer rank arithmetic makes the resumed trajectory bit-identical to
+    a straight run.  The final (doc_id, rank_q) table is unit ``ranks``.
 
-    ``stop_after_iters`` exists for crash-injection in tests.
     Returns {resumed_from, iters_run, rows, wall_sec}.
     """
+    import numpy as np
     import ray
 
-    from ..pipelines.analytics import (
-        _PR_SCALE,
-        _pr_step,
-    )
+    from ..pipelines.analytics import _PR_SCALE, _pr_step
     from ..sources.pages import read_table
 
-    t0 = time.time()
-    params = {"op": "pagerank", "iters": iters, "scale": _PR_SCALE}
-    fingerprint = _table_fingerprint(sf_dir, "documents")
-    state_dir = os.path.join(out_dir, "_state")
-    os.makedirs(state_dir, exist_ok=True)
-    if not _state_valid(state_dir, fingerprint, params):
-        for p in glob.glob(os.path.join(state_dir, "iter_*")):
-            shutil.rmtree(p, ignore_errors=True)
-        for p in glob.glob(os.path.join(state_dir, "iter_*.json")):
-            os.remove(p)
-        _atomic_write_json(
-            os.path.join(state_dir, "state.json"),
-            {"fingerprint": fingerprint, "params": params,
-             "engine": ENGINE_VERSION},
-        )
+    ck = _checkpoint(sf_dir, out_dir, {"op": "pagerank", "iters": iters,
+                                       "scale": _PR_SCALE})
+    start = max((k for k in range(1, iters + 1) if ck.done(f"iter-{k}")), default=0)
+    if ck.done("ranks"):
+        return {"resumed_from": start, "iters_run": 0, "rows": ck.done("ranks")["rows"],
+                "wall_sec": ck.elapsed()}
 
     # scalars: node count + min id (never row data)
     ids = read_table(sf_dir, "documents", columns=["doc_id"])
     n_nodes = ids.count()
     if n_nodes == 0:
-        return {"resumed_from": 0, "iters_run": 0, "rows": 0,
-                "wall_sec": round(time.time() - t0, 3)}
+        return {"resumed_from": start, "iters_run": 0, "rows": 0,
+                "wall_sec": ck.elapsed()}
     min_id = ids.min("doc_id")
     init_rank = _PR_SCALE // n_nodes
     base = (15 * init_rank) // 100
 
-    def _committed(k: int) -> bool:
-        return os.path.exists(os.path.join(state_dir, f"iter_{k}.json"))
-
-    start = 0
-    for k in range(iters, 0, -1):
-        if _committed(k):
-            start = k
-            break
-
-    import numpy as np
-    import pandas as pd
+    def init_rows(df: pd.DataFrame) -> pd.DataFrame:
+        return pd.DataFrame({"node": df["doc_id"].to_numpy(dtype=np.int64),
+                             "r": np.full(len(df), init_rank, dtype=np.int64)})
 
     if start > 0:
-        ranks = ray.data.read_parquet(os.path.join(state_dir, f"iter_{start}"))
+        ranks = ray.data.read_parquet(ck.path(f"iter-{start}"))
     else:
-        def init_rows(df: pd.DataFrame) -> pd.DataFrame:
-            return pd.DataFrame(
-                {
-                    "node": df["doc_id"].to_numpy(dtype=np.int64),
-                    "r": np.full(len(df), init_rank, dtype=np.int64),
-                }
-            )
-
-        n_blocks = max(1, n_nodes // 250_000)
         ranks = ids.map_batches(init_rows, batch_format="pandas").repartition(
-            n_blocks
+            max(1, n_nodes // 250_000)
         )
-
-    iters_run = 0
     for k in range(start + 1, iters + 1):
-        ranks = _pr_step(ranks, n_nodes, min_id, base)
-        # checkpoint: temp dir -> atomic rename -> manifest commit
-        final = os.path.join(state_dir, f"iter_{k}")
-        tmp = final + ".tmp"
-        shutil.rmtree(tmp, ignore_errors=True)
-        ranks.write_parquet(tmp)
-        shutil.rmtree(final, ignore_errors=True)
-        os.rename(tmp, final)
-        _atomic_write_json(
-            os.path.join(state_dir, f"iter_{k}.json"),
-            {"iter": k, "engine": ENGINE_VERSION},
-        )
-        ranks = ray.data.read_parquet(final)  # downstream reads the checkpoint
-        iters_run += 1
-        if stop_after_iters is not None and iters_run >= stop_after_iters:
-            return {"resumed_from": start, "iters_run": iters_run,
-                    "rows": 0, "wall_sec": round(time.time() - t0, 3)}
+        ck.publish_dataset(f"iter-{k}", _pr_step(ranks, n_nodes, min_id, base))
+        # downstream reads the checkpoint
+        ranks = ray.data.read_parquet(ck.path(f"iter-{k}"))
 
     def rename_cols(df: pd.DataFrame) -> pd.DataFrame:
         return pd.DataFrame({"doc_id": df["node"], "rank_q": df["r"]})
 
-    out_path = os.path.join(out_dir, "ranks")
-    tmp = out_path + ".tmp"
-    shutil.rmtree(tmp, ignore_errors=True)
-    ranks.map_batches(rename_cols, batch_format="pandas").write_parquet(tmp)
-    shutil.rmtree(out_path, ignore_errors=True)
-    os.rename(tmp, out_path)
-    import pyarrow.dataset as pads
-
-    rows = pads.dataset(out_path).count_rows()
-    return {"resumed_from": start, "iters_run": iters_run, "rows": rows,
-            "wall_sec": round(time.time() - t0, 3)}
-
-
-def run_dedup_keep_best_resumable(
-    sf_dir: str,
-    out_dir: str,
-    *,
-    n_buckets: int = 8,
-    stop_after_buckets: int | None = None,
-    num_perm: int = 126,
-    bands: int = 42,
-    threshold: float = 0.7,
-    shingle_k: int = 5,
-) -> dict:
-    """Resumable ``dedup_keep_best``: phase A checkpoints the loser drop
-    table (``keep_best_drop_ds`` — the minhash clusters plus the one
-    grouped per-cluster argmax exchange, the expensive corpus-global
-    work), phase B filters + writes survivors per doc bucket.  Same
-    contract as ``run_dedup_corpus_resumable``; a restart whose input
-    fingerprint matches reloads the drop table instead of re-running the
-    LSH."""
-    import ray
-
-    from ..pipelines.dedup_ops import keep_best_drop_ds
-    from ..sources.pages import read_table
-
-    params = {
-        "op": "dedup_keep_best", "n_buckets": n_buckets, "num_perm": num_perm,
-        "bands": bands, "threshold": threshold, "shingle_k": shingle_k,
-    }
-    fingerprint = _table_fingerprint(sf_dir, "documents")
-    state_dir = os.path.join(out_dir, "_state")
-    os.makedirs(state_dir, exist_ok=True)
-    os.makedirs(os.path.join(out_dir, "_manifest"), exist_ok=True)
-
-    drop_path = os.path.join(state_dir, "drop.parquet")
-    state_reused = _state_valid(state_dir, fingerprint, params)
-    if not state_reused:
-        drop_ds = keep_best_drop_ds(
-            sf_dir, num_perm=num_perm, bands=bands, threshold=threshold,
-            shingle_k=shingle_k,
-        )
-        drop_df = (
-            pd.DataFrame({"doc_id": pd.Series([], dtype="int64")})
-            if drop_ds is None else drop_ds.to_pandas()
-        )
-        tmp = drop_path + ".tmp"
-        drop_df.to_parquet(tmp, index=False)
-        os.replace(tmp, drop_path)
-        _atomic_write_json(
-            os.path.join(state_dir, "state.json"),
-            {"fingerprint": fingerprint, "params": params},
-        )
-    else:
-        drop_df = pd.read_parquet(drop_path)
-
-    # cluster-loser-sized (never corpus-sized) — same broadcast bound
-    # argument as dedup_corpus above
-    drop_ref = ray.put(frozenset(int(d) for d in drop_df["doc_id"]))
-
-    done = _load_bucket_manifests(out_dir)
-    buckets_run, skipped, total_rows = 0, 0, 0
-    t_run = time.time()
-    for b in range(n_buckets):
-        e = done.get(b)
-        if e and e["fingerprint"] == fingerprint and e["params"] == params:
-            skipped += 1
-            continue
-        if stop_after_buckets is not None and buckets_run >= stop_after_buckets:
-            break
-        t0 = time.time()
-        nb = n_buckets
-        bucket = b
-
-        def keep_fn(df: pd.DataFrame) -> pd.DataFrame:
-            dropped = ray.get(drop_ref)
-            ids = df["doc_id"].astype("int64")
-            keep = (ids % nb == bucket) & ~ids.isin(dropped)
-            return pd.DataFrame({"doc_id": ids[keep]})
-
-        ds = read_table(sf_dir, "documents", columns=["doc_id"]).map_batches(
-            keep_fn, batch_format="pandas"
-        )
-        n_rows = _write_bucket(ds, out_dir, b)
-        _commit_bucket(out_dir, b, fingerprint, params, n_rows, time.time() - t0)
-        total_rows += n_rows
-        buckets_run += 1
-
-    return {
-        "buckets_total": n_buckets,
-        "buckets_skipped": skipped,
-        "buckets_run": buckets_run,
-        "state_reused": state_reused,
-        "rows_written": total_rows,
-        "wall_sec": round(time.time() - t_run, 3),
-    }
-
-
-def run_incremental_fuzzy_dedup_resumable(
-    sf_dir: str,
-    out_dir: str,
-    *,
-    n_buckets: int = 8,
-    stop_after_buckets: int | None = None,
-    num_perm: int = 126,
-    bands: int = 42,
-    threshold: float = 0.7,
-    shingle_k: int = 5,
-) -> dict:
-    """Resumable ``incremental_fuzzy_dedup``: phase A checkpoints the
-    verified cross-side drop table plus the id-median ``split`` scalar
-    (``incremental_fuzzy_drop_ds`` — the LSH + exact-verify exchange),
-    phase B writes the surviving NEW-side ids per doc bucket."""
-    import ray
-
-    from ..pipelines.dedup_ops import incremental_fuzzy_drop_ds
-    from ..sources.pages import read_table
-
-    params = {
-        "op": "incremental_fuzzy_dedup", "n_buckets": n_buckets,
-        "num_perm": num_perm, "bands": bands, "threshold": threshold,
-        "shingle_k": shingle_k,
-    }
-    fingerprint = _table_fingerprint(sf_dir, "documents")
-    state_dir = os.path.join(out_dir, "_state")
-    os.makedirs(state_dir, exist_ok=True)
-    os.makedirs(os.path.join(out_dir, "_manifest"), exist_ok=True)
-
-    drop_path = os.path.join(state_dir, "drop.parquet")
-    meta_path = os.path.join(state_dir, "state.json")
-    state_reused = _state_valid(state_dir, fingerprint, params)
-    if not state_reused:
-        drop_ds, split = incremental_fuzzy_drop_ds(
-            sf_dir, num_perm=num_perm, bands=bands, threshold=threshold,
-            shingle_k=shingle_k,
-        )
-        drop_df = (
-            pd.DataFrame({"doc_id": pd.Series([], dtype="int64")})
-            if drop_ds is None else drop_ds.to_pandas()
-        )
-        tmp = drop_path + ".tmp"
-        drop_df.to_parquet(tmp, index=False)
-        os.replace(tmp, drop_path)
-        _atomic_write_json(
-            meta_path,
-            {"fingerprint": fingerprint, "params": params,
-             "split": int(split)},
-        )
-    else:
-        drop_df = pd.read_parquet(drop_path)
-        with open(meta_path) as f:
-            split = int(json.load(f)["split"])
-
-    drop_ref = ray.put(frozenset(int(d) for d in drop_df["doc_id"]))
-
-    done = _load_bucket_manifests(out_dir)
-    buckets_run, skipped, total_rows = 0, 0, 0
-    t_run = time.time()
-    for b in range(n_buckets):
-        e = done.get(b)
-        if e and e["fingerprint"] == fingerprint and e["params"] == params:
-            skipped += 1
-            continue
-        if stop_after_buckets is not None and buckets_run >= stop_after_buckets:
-            break
-        t0 = time.time()
-        nb = n_buckets
-        bucket = b
-        sp = split
-
-        def keep_fn(df: pd.DataFrame) -> pd.DataFrame:
-            dropped = ray.get(drop_ref)
-            ids = df["doc_id"].astype("int64")
-            keep = (ids >= sp) & (ids % nb == bucket) & ~ids.isin(dropped)
-            return pd.DataFrame({"doc_id": ids[keep]})
-
-        ds = read_table(sf_dir, "documents", columns=["doc_id"]).map_batches(
-            keep_fn, batch_format="pandas"
-        )
-        n_rows = _write_bucket(ds, out_dir, b)
-        _commit_bucket(out_dir, b, fingerprint, params, n_rows, time.time() - t0)
-        total_rows += n_rows
-        buckets_run += 1
-
-    return {
-        "buckets_total": n_buckets,
-        "buckets_skipped": skipped,
-        "buckets_run": buckets_run,
-        "state_reused": state_reused,
-        "rows_written": total_rows,
-        "wall_sec": round(time.time() - t_run, 3),
-    }
-
-
-def run_corpus_curate_resumable(
-    sf_dir: str,
-    out_dir: str,
-    *,
-    n_buckets: int = 8,
-    stop_after_buckets: int | None = None,
-    seed: int = 7,
-) -> dict:
-    """Resumable ``corpus_curate``: phase A checkpoints ONLY the dedup
-    loser set (``curate_dup_losers_ds`` — the single corpus-global
-    decision in the composite; loser-count-sized, empty on a clean
-    corpus), phase B recomputes the stateless quality gate + stratified
-    sampler per doc bucket (free — pure per-row kernels) and publishes
-    survivors atomically per bucket.  Same manifest/skip-done contract
-    as the other resumable sinks; the output union is bit-identical to
-    ``corpus_curate``."""
-    import ray
-
-    from ..pipelines.sampling import curate_dup_losers_ds, curate_keep_mask
-    from ..sources.pages import read_table
-
-    params = {"op": "corpus_curate", "n_buckets": n_buckets, "seed": seed}
-    fingerprint = _table_fingerprint(sf_dir, "documents")
-    state_dir = os.path.join(out_dir, "_state")
-    os.makedirs(state_dir, exist_ok=True)
-    os.makedirs(os.path.join(out_dir, "_manifest"), exist_ok=True)
-
-    losers_path = os.path.join(state_dir, "dup_losers.parquet")
-    state_reused = _state_valid(state_dir, fingerprint, params)
-    if not state_reused:
-        losers_df = curate_dup_losers_ds(sf_dir).to_pandas()
-        if "doc_id" not in losers_df.columns:  # clean corpus: zero losers,
-            losers_df = pd.DataFrame(          # Ray drops the empty schema
-                {"doc_id": pd.Series([], dtype="int64")}
-            )
-        tmp = losers_path + ".tmp"
-        losers_df.to_parquet(tmp, index=False)
-        os.replace(tmp, losers_path)
-        _atomic_write_json(
-            os.path.join(state_dir, "state.json"),
-            {"fingerprint": fingerprint, "params": params},
-        )
-    else:
-        losers_df = pd.read_parquet(losers_path)
-
-    losers_ref = ray.put(frozenset(int(d) for d in losers_df["doc_id"]))
-
-    done = _load_bucket_manifests(out_dir)
-    buckets_run, skipped, total_rows = 0, 0, 0
-    t_run = time.time()
-    for b in range(n_buckets):
-        e = done.get(b)
-        if e and e["fingerprint"] == fingerprint and e["params"] == params:
-            skipped += 1
-            continue
-        if stop_after_buckets is not None and buckets_run >= stop_after_buckets:
-            break
-        t0 = time.time()
-        nb, bucket = n_buckets, b
-
-        def bucket_fn(df: pd.DataFrame) -> pd.DataFrame:
-            losers = ray.get(losers_ref)
-            if len(df):
-                df = df[df["doc_id"].astype("int64") % nb == bucket]
-            return curate_keep_mask(df, losers, seed)
-
-        ds = read_table(
-            sf_dir, "documents", columns=["doc_id", "lang", "text"]
-        ).map_batches(bucket_fn, batch_format="pandas")
-        n_rows = _write_bucket(ds, out_dir, b)
-        _commit_bucket(out_dir, b, fingerprint, params, n_rows, time.time() - t0)
-        total_rows += n_rows
-        buckets_run += 1
-
-    return {
-        "buckets_total": n_buckets,
-        "buckets_skipped": skipped,
-        "buckets_run": buckets_run,
-        "state_reused": state_reused,
-        "rows_written": total_rows,
-        "wall_sec": round(time.time() - t_run, 3),
-    }
+    rows = ck.publish_dataset(
+        "ranks", ranks.map_batches(rename_cols, batch_format="pandas")
+    )["rows"]
+    return {"resumed_from": start, "iters_run": iters - start, "rows": rows,
+            "wall_sec": ck.elapsed()}

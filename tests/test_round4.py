@@ -252,7 +252,9 @@ def _read_buckets(out_dir: str) -> pd.DataFrame:
     return pd.concat(frames, ignore_index=True) if frames else pd.DataFrame()
 
 
-def test_dedup_corpus_resumable_kill_restart(ray_session, tmp_path):
+def test_dedup_corpus_resumable_kill_restart(
+    ray_session, tmp_path, crash_after, unit_mtimes
+):
     """Kill after 3 of 8 buckets, restart: phase-A state is reused, only
     the remaining buckets run, and the union equals the direct op with no
     duplicate or missing rows."""
@@ -263,11 +265,14 @@ def test_dedup_corpus_resumable_kill_restart(ray_session, tmp_path):
 
     sf = "/root/testdata/sf0.001"
     out = str(tmp_path / "dc")
-    r1 = run_dedup_corpus_resumable(sf, out, n_buckets=8, stop_after_buckets=3)
-    assert r1["buckets_run"] == 3 and not r1["state_reused"]
+    with crash_after("bucket-", 3):
+        run_dedup_corpus_resumable(sf, out, n_buckets=8)
+    committed = unit_mtimes(out)
+    assert sorted(committed) == ["_state", "bucket-0", "bucket-1", "bucket-2"]
     r2 = run_dedup_corpus_resumable(sf, out, n_buckets=8)
     assert r2["state_reused"] and r2["buckets_skipped"] == 3
     assert r2["buckets_run"] == 5
+    assert committed.items() <= unit_mtimes(out).items()
 
     got = _read_buckets(out).sort_values("doc_id").reset_index(drop=True)
     want = (
@@ -281,7 +286,9 @@ def test_dedup_corpus_resumable_kill_restart(ray_session, tmp_path):
     assert r3["buckets_skipped"] == 8 and r3["buckets_run"] == 0
 
 
-def test_paragraph_dedup_resumable_kill_restart(ray_session, tmp_path):
+def test_paragraph_dedup_resumable_kill_restart(
+    ray_session, tmp_path, crash_after, unit_mtimes
+):
     from action_pdf_accessibility_paddle_docker_ray.pipelines.text_ops import paragraph_dedup
     from action_pdf_accessibility_paddle_docker_ray.state.op_resume import (
         run_paragraph_dedup_resumable,
@@ -289,11 +296,14 @@ def test_paragraph_dedup_resumable_kill_restart(ray_session, tmp_path):
 
     sf = "/root/testdata/sf0.001"
     out = str(tmp_path / "pd")
-    r1 = run_paragraph_dedup_resumable(sf, out, n_buckets=8, stop_after_buckets=2)
-    assert r1["buckets_run"] == 2 and not r1["state_reused"]
+    with crash_after("bucket-", 2):
+        run_paragraph_dedup_resumable(sf, out, n_buckets=8)
+    committed = unit_mtimes(out)
+    assert sorted(committed) == ["_state", "bucket-0", "bucket-1"]
     r2 = run_paragraph_dedup_resumable(sf, out, n_buckets=8)
     assert r2["state_reused"] and r2["buckets_skipped"] == 2
     assert r2["buckets_run"] == 6
+    assert committed.items() <= unit_mtimes(out).items()
 
     got = _read_buckets(out).sort_values("doc_id").reset_index(drop=True)
     want = (
@@ -479,7 +489,9 @@ def test_substring_dedup_keeper_semantics(ray_session, tmp_path):
     assert out.loc[3, "text_deduped"] == "short odd doc"
 
 
-def test_substring_dedup_resumable_kill_restart(ray_session, tmp_path):
+def test_substring_dedup_resumable_kill_restart(
+    ray_session, tmp_path, crash_after, unit_mtimes
+):
     """Kill after 2 of 8 buckets, restart: the dup-window state is
     reused, only the remaining buckets run, and the union equals the
     direct op bit-for-bit."""
@@ -492,11 +504,14 @@ def test_substring_dedup_resumable_kill_restart(ray_session, tmp_path):
 
     sf = "/root/testdata/sf0.001"
     out = str(tmp_path / "sd")
-    r1 = run_substring_dedup_resumable(sf, out, n_buckets=8, stop_after_buckets=2)
-    assert r1["buckets_run"] == 2 and not r1["state_reused"]
+    with crash_after("bucket-", 2):
+        run_substring_dedup_resumable(sf, out, n_buckets=8)
+    committed = unit_mtimes(out)
+    assert sorted(committed) == ["_state", "bucket-0", "bucket-1"]
     r2 = run_substring_dedup_resumable(sf, out, n_buckets=8)
     assert r2["state_reused"] and r2["buckets_skipped"] == 2
     assert r2["buckets_run"] == 6
+    assert committed.items() <= unit_mtimes(out).items()
 
     got = _read_buckets(out).sort_values("doc_id").reset_index(drop=True)
     want = (
@@ -591,7 +606,9 @@ def test_dedup_keep_best_keeps_longest(ray_session, tmp_path):
 # --- resumable pagerank -----------------------------------------------------
 
 
-def test_pagerank_resumable_kill_restart(ray_session, tmp_path):
+def test_pagerank_resumable_kill_restart(
+    ray_session, tmp_path, crash_after, unit_mtimes
+):
     """Kill after 2 of 5 iterations; the restart resumes from iteration 2
     and the final ranks are bit-identical to the straight pipeline."""
     import pyarrow.dataset as pads
@@ -603,10 +620,13 @@ def test_pagerank_resumable_kill_restart(ray_session, tmp_path):
 
     sf = "/root/testdata/sf0.001"
     out = str(tmp_path / "pr")
-    r1 = run_pagerank_resumable(sf, out, iters=5, stop_after_iters=2)
-    assert r1["resumed_from"] == 0 and r1["iters_run"] == 2
+    with crash_after("iter-", 2):
+        run_pagerank_resumable(sf, out, iters=5)
+    committed = unit_mtimes(out)
+    assert sorted(committed) == ["iter-1", "iter-2"]
     r2 = run_pagerank_resumable(sf, out, iters=5)
     assert r2["resumed_from"] == 2 and r2["iters_run"] == 3
+    assert committed.items() <= unit_mtimes(out).items()
     got = (
         pads.dataset(str(tmp_path / "pr" / "ranks"))
         .to_table()

@@ -309,7 +309,9 @@ def _read_buckets(out_dir: str) -> pd.DataFrame:
     return pd.concat(frames, ignore_index=True) if frames else pd.DataFrame()
 
 
-def test_dedup_keep_best_resumable_kill_restart(ray_session, tmp_path):
+def test_dedup_keep_best_resumable_kill_restart(
+    ray_session, tmp_path, crash_after, unit_mtimes
+):
     """Kill after 3 of 8 buckets, restart: the drop-table checkpoint is
     reused, only the remaining buckets run, and the union equals the
     direct op with no duplicate or missing rows."""
@@ -322,11 +324,14 @@ def test_dedup_keep_best_resumable_kill_restart(ray_session, tmp_path):
 
     sf = "/root/testdata/sf0.001"
     out = str(tmp_path / "kb")
-    r1 = run_dedup_keep_best_resumable(sf, out, n_buckets=8, stop_after_buckets=3)
-    assert r1["buckets_run"] == 3 and not r1["state_reused"]
+    with crash_after("bucket-", 3):
+        run_dedup_keep_best_resumable(sf, out, n_buckets=8)
+    committed = unit_mtimes(out)
+    assert sorted(committed) == ["_state", "bucket-0", "bucket-1", "bucket-2"]
     r2 = run_dedup_keep_best_resumable(sf, out, n_buckets=8)
     assert r2["state_reused"] and r2["buckets_skipped"] == 3
     assert r2["buckets_run"] == 5
+    assert committed.items() <= unit_mtimes(out).items()
 
     got = _read_buckets(out).sort_values("doc_id").reset_index(drop=True)
     want = (
@@ -339,7 +344,9 @@ def test_dedup_keep_best_resumable_kill_restart(ray_session, tmp_path):
     assert r3["buckets_skipped"] == 8 and r3["buckets_run"] == 0
 
 
-def test_incremental_fuzzy_dedup_resumable_kill_restart(ray_session, tmp_path):
+def test_incremental_fuzzy_dedup_resumable_kill_restart(
+    ray_session, tmp_path, crash_after, unit_mtimes
+):
     """Same contract for the incremental op; the checkpoint additionally
     carries the id-median split scalar, so the restarted phase B never
     recomputes lo/hi (a changed corpus invalidates via the fingerprint)."""
@@ -352,13 +359,14 @@ def test_incremental_fuzzy_dedup_resumable_kill_restart(ray_session, tmp_path):
 
     sf = "/root/testdata/sf0.001"
     out = str(tmp_path / "ifd")
-    r1 = run_incremental_fuzzy_dedup_resumable(
-        sf, out, n_buckets=8, stop_after_buckets=2
-    )
-    assert r1["buckets_run"] == 2 and not r1["state_reused"]
+    with crash_after("bucket-", 2):
+        run_incremental_fuzzy_dedup_resumable(sf, out, n_buckets=8)
+    committed = unit_mtimes(out)
+    assert sorted(committed) == ["_state", "bucket-0", "bucket-1"]
     r2 = run_incremental_fuzzy_dedup_resumable(sf, out, n_buckets=8)
     assert r2["state_reused"] and r2["buckets_skipped"] == 2
     assert r2["buckets_run"] == 6
+    assert committed.items() <= unit_mtimes(out).items()
 
     got = _read_buckets(out).sort_values("doc_id").reset_index(drop=True)
     want = (
@@ -1455,10 +1463,13 @@ def test_corpus_curate_dedup_stage_binds(ray_session, tmp_path):
     assert list(got["lang"]) == list(want["lang"])
 
 
-def test_corpus_curate_resumable_kill_restart(ray_session, tmp_path):
+def test_corpus_curate_resumable_kill_restart(
+    ray_session, tmp_path, crash_after, unit_mtimes
+):
     """Kill after 2 of 8 buckets, restart: the dedup-loser checkpoint is
     reused, only the remaining buckets run, and the union equals the
-    direct composite (doc_id set AND langs) with no dup/missing rows."""
+    direct composite (doc_id set AND langs) with no dup/missing rows; a
+    resume with another bucket count leaves no stale bucket behind."""
     from action_pdf_accessibility_paddle_docker_ray.pipelines.sampling import (
         corpus_curate,
     )
@@ -1468,11 +1479,14 @@ def test_corpus_curate_resumable_kill_restart(ray_session, tmp_path):
 
     sf = "/root/testdata/sf0.001"
     out = str(tmp_path / "curate")
-    r1 = run_corpus_curate_resumable(sf, out, n_buckets=8, stop_after_buckets=2)
-    assert r1["buckets_run"] == 2 and not r1["state_reused"]
+    with crash_after("bucket-", 2):
+        run_corpus_curate_resumable(sf, out, n_buckets=8)
+    committed = unit_mtimes(out)
+    assert sorted(committed) == ["_state", "bucket-0", "bucket-1"]
     r2 = run_corpus_curate_resumable(sf, out, n_buckets=8)
     assert r2["state_reused"] and r2["buckets_skipped"] == 2
     assert r2["buckets_run"] == 6
+    assert committed.items() <= unit_mtimes(out).items()
 
     got = _read_buckets(out).sort_values("doc_id").reset_index(drop=True)
     want = (
@@ -1486,8 +1500,17 @@ def test_corpus_curate_resumable_kill_restart(ray_session, tmp_path):
     r3 = run_corpus_curate_resumable(sf, out, n_buckets=8)
     assert r3["buckets_skipped"] == 8 and r3["buckets_run"] == 0
 
+    # the finished run resumed with 4 buckets: a new run key, so the 8 old
+    # bucket dirs are swept and the 4 new ones alone equal the composite
+    r4 = run_corpus_curate_resumable(sf, out, n_buckets=4)
+    assert r4["buckets_run"] == 4 and not r4["state_reused"]
+    got = _read_buckets(out).sort_values("doc_id").reset_index(drop=True)
+    pd.testing.assert_frame_equal(
+        got[["doc_id", "lang"]], want[["doc_id", "lang"]]
+    )
 
-def test_corpus_curate_resumable_losers_bind(ray_session, tmp_path):
+
+def test_corpus_curate_resumable_losers_bind(ray_session, tmp_path, crash_after):
     """Planted clones: the loser checkpoint is non-empty, survives the
     kill-restart, and the resumed union still equals the direct
     composite on the augmented corpus."""
@@ -1516,10 +1539,10 @@ def test_corpus_curate_resumable_losers_bind(ray_session, tmp_path):
     )
 
     out = str(tmp_path / "curate_aug")
-    r1 = run_corpus_curate_resumable(str(d), out, n_buckets=4, stop_after_buckets=1)
-    assert r1["buckets_run"] == 1
+    with crash_after("bucket-", 1):
+        run_corpus_curate_resumable(str(d), out, n_buckets=4)
     # the checkpoint binds: planted clones lost the dedup
-    losers = pd.read_parquet(f"{out}/_state/dup_losers.parquet")
+    losers = pd.read_parquet(f"{out}/_state/drop.parquet")
     assert set(losers["doc_id"]) == set(clones["doc_id"].astype("int64"))
     r2 = run_corpus_curate_resumable(str(d), out, n_buckets=4)
     assert r2["state_reused"] and r2["buckets_skipped"] == 1

@@ -158,6 +158,25 @@ def test_frequent_tokens_fallback_when_sketch_uncertifiable(
 # ---------------------------------------------------------------------------
 
 
+@pytest.mark.parametrize("broadcast_limit", [500_000, 0], ids=["broadcast", "exchange"])
+def test_wordset_verify_missed_doc_lookup_raises(ray_session, broadcast_limit):
+    """A candidate pair naming a doc that ``docs`` lacks raises on both
+    verify plans; it is never scored as some stand-in word set."""
+    import ray.data
+
+    from action_pdf_accessibility_paddle_docker_ray.pipelines.dedup_ops import (
+        _wordset_verify,
+    )
+
+    pairs = ray.data.from_pandas(pd.DataFrame({"a": [1], "b": [999]}))
+    docs = ray.data.from_pandas(
+        pd.DataFrame({"doc_id": [1, 2], "text": ["| a b", "c d"]})
+    )
+    with pytest.raises(Exception, match="999"):
+        _wordset_verify(pairs, docs, 0, 1, broadcast_limit=broadcast_limit).materialize()
+
+
+
 def test_ppjoin_pairs_matches_duckdb(ray_session):
     from action_pdf_accessibility_paddle_docker_ray.pipelines.dedup_ops import (
         ppjoin_pairs,

@@ -10,7 +10,7 @@ pipeline over a Parquet table of Common-Crawl-style web pages
   heuristics) — the arm mandated by ``BASELINE.json:north_star``.
 - PDF-like rows (deterministic ``%SDOC`` container, see FIXTURES.md §1.1):
   page loop → layout-region detection (stub detector standing in for a
-  PaddleX model, behind the same actor-pool boundary) → overlap
+  PaddleX model, behind the ``DocProcessor`` class boundary) → overlap
   resolution → reading-order sort → per-region text extraction →
   table-grid inference → formula→MathML → per-url template assembly.
 

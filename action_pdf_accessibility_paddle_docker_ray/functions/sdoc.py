@@ -19,8 +19,8 @@ running on the table crop (/root/reference/src/ai.py:114-138).
 it applies the same class pruning (17cls drops ids 17-22,
 /root/reference/src/ai.py:46-49) and per-class score thresholds the real
 model is configured with (/root/reference/src/ai.py:72-79), and rescales
-coordinates for the requested zoom.  The actor-pool class boundary in
-``stages/detect.py`` is where real model weights would load.
+coordinates for the requested zoom.  The ``DocProcessor`` class boundary
+in ``stages/process.py`` is where real model weights would load.
 """
 
 from __future__ import annotations

@@ -1382,6 +1382,7 @@ def sql_frequent_tokens(*, support_ppm: int = _FT_SUPPORT_PPM) -> str:
 # ---------------------------------------------------------------------------
 
 _COV_Q = 1000  # milli-unit quantization: q = floor(x*1e3 + 0.5)
+_I64_MIN, _I64_MAX = -(2**63), 2**63 - 1
 
 
 def embedding_covariance(sf_dir: str) -> pd.DataFrame:
@@ -1391,15 +1392,15 @@ def embedding_covariance(sf_dir: str) -> pd.DataFrame:
 
     Floating-point Gram accumulation is summation-order-dependent, so
     vectors quantize to integer MILLI units first (floor(x·10³ + 0.5) —
-    the ``label_centroids`` trick one scale down, keeping every partial
-    and product inside int64 at any plausible label size); each batch
+    the ``label_centroids`` trick one scale down, keeping every Gram
+    partial inside int64 at any plausible label size); each batch
     then folds its label-group into (n, Σq, upper-triangle Gram ΣqᵢqᵼT)
     with one vectorized ``X.T @ X`` — MERGEABLE fixed-size partials
     (labels × (d(d+1)/2 + d + 1) rows per block, d=64 → ~21k ints),
     ONE grouped exchange, and a vectorized driver-side assembly of the
-    label-count-bounded result (the n·Σqᵢqⱼ − ΣqᵢΣqⱼ products in int64,
-    inside range under the milli quantization). No vector data ever
-    re-shuffles.
+    label-count-bounded result (the n·Σqᵢqⱼ − ΣqᵢΣqⱼ products exact in
+    Python ints; a cov_num outside int64 — ~3e6 unit vectors in one label
+    — raises ``OverflowError``). No vector data ever re-shuffles.
 
     Output: (label, dim_i, dim_j, n, cov_num) for dim_i ≤ dim_j, where
     cov[i,j] = cov_num / n² in milli² units — cov_num is exact, so the
@@ -1468,15 +1469,28 @@ def embedding_covariance(sf_dir: str) -> pd.DataFrame:
             left_on=["label", "j"], right_on=["label", "dj"],
         )
     )
-    # int64 vector math; |n·s_ij| ≤ n²·d·(q_max)² stays inside int64 for
-    # any per-label count the milli quantization is documented for
+    # exact Python-int math over the label-count-bounded rows: int64 would
+    # wrap silently once n²·q_max² passes 2⁶³ (~3e6 unit vectors in one
+    # label); a cov_num outside int64 raises instead
+    cov_num = (
+        gr["n"].astype(object) * gr["v"].astype(object)
+        - gr["si"].astype(object) * gr["sj"].astype(object)
+    )
+    wide = cov_num.map(lambda c: not _I64_MIN <= c <= _I64_MAX).astype(bool)
+    if wide.any():
+        at = gr[wide].iloc[0]
+        raise OverflowError(
+            f"embedding_covariance: label {at['label']} (n={at['n']}) has "
+            f"cov_num[{at['i']}, {at['j']}] = {cov_num[wide].iloc[0]}, "
+            "outside int64"
+        )
     out = pd.DataFrame(
         {
             "label": gr["label"],
             "dim_i": gr["i"],
             "dim_j": gr["j"],
             "n": gr["n"],
-            "cov_num": gr["n"] * gr["v"] - gr["si"] * gr["sj"],
+            "cov_num": cov_num,
         }
     ).astype("int64")
     return out.sort_values(

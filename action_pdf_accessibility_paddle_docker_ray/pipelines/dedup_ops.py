@@ -1267,8 +1267,8 @@ def cached_planes(dim: int, planes: int, seed: int) -> np.ndarray:
     measured as the dominant cost of these ops at bench scale) buys
     nothing — a task pool with a per-worker-process ``lru_cache`` gets the
     same build-once behavior for free.  Actor pools are reserved for
-    genuinely heavy per-worker state (the extraction ``DocProcessor``,
-    where real model weights load)."""
+    genuinely heavy per-worker state (real model weights; the extraction
+    ``DocProcessor`` runs as tasks for the same reason until they exist)."""
     return rademacher_planes(dim, planes, seed)
 
 

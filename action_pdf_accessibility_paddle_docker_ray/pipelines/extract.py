@@ -1,11 +1,13 @@
 """The flagship extraction pipeline (SURVEY.md §3.4).
 
 One physical plan: ``read_parquet(url, warc_ts, html)`` → stale-crawl
-filter → ``DocProcessor`` ACTOR POOL (doc parse → page loop → detect →
+step → ``DocProcessor`` TASK stage (doc parse → page loop → detect →
 resolve → reading order → text extract → template assembly, all per input
-row = per document) → partitioned parquet.  A document never spans rows,
-so per-url assembly needs no exchange; stale duplicate crawls are filtered
-before any payload is touched.  The stale-crawl filter keeps the latest
+row = per document) → partitioned parquet.  ``DocProcessor`` and the write
+fuse into one Ray task, and so does the dict route's stale step before
+them: no operator boundary, no materialization between them.  A document
+never spans rows, so per-url assembly needs no exchange; stale duplicate
+crawls are filtered before any payload is touched.  The stale-crawl filter keeps the latest
 crawl per url, ties broken on ``content_key``.  For a path source it takes
 one of three routes that ``_stale_filter`` picks from a winner scan: none
 (no url crawled twice), dict (broadcast semi-join against a small
@@ -21,18 +23,20 @@ its rows.
 Scale design notes (100 TB / multi-node):
 - columns pruned at the read: only (url, warc_ts, html) leave storage;
 - skew: the heavy-stage unit is a document (bounded, batch-dispatched
-  across the pool) — never a whole input block
+  across tasks) — never a whole input block
   (reference: one sequential page loop per process,
   /root/reference/src/autotag.py:123-138);
-- the processing pool loads per-worker state once (``__init__``), sized to
-  leave CPUs for read/write (see ``_default_concurrency``/``_actor_cpus``);
+- no stage holds per-worker state: the stub detector is deterministic and
+  ``DocProcessor`` carries only its config, so it runs on Ray's task pool
+  instead of an actor pool that would claim CPUs for the whole job and
+  start fresh worker processes each time; a stateful actor stage waits
+  for real model weights;
 - everything streams: no take_all/to_pandas/materialize on the main path;
   consume with write_parquet / iter_batches or the helpers below.
 """
 
 from __future__ import annotations
 
-import math
 import os
 from dataclasses import dataclass, field
 from typing import Any
@@ -62,30 +66,11 @@ def _cluster_cpus() -> int:
 
 
 def _default_concurrency(reserve_div: int = 8) -> tuple[int, int]:
-    cpus = _cluster_cpus()
-    # fixed pool at cpus - max(1, cpus/reserve_div): measured best — the
-    # default autoscaler (upscale only at 2x queue pressure) wastes the
-    # whole ramp on short jobs, and a pool reserving EVERY cpu starves the
-    # read/write stages (33s vs 7s at 32 cpus for the same job).  The
-    # reserve covers read, write and the driver; at 1 CPU the one actor
-    # shares the core (``_actor_cpus``).
-    # The Bloom route passes reserve_div=4: its two read passes + the
-    # maybe-dup exchange need real CPU share, and a 7/8 pool starves them
-    # (measured 123 s vs 87 s on the 149k-row 25%-dup corpus at 32 cpus).
-    size = max(1, min(cpus - 1, cpus - max(1, cpus // reserve_div)))
-    return (size, size)
-
-
-def _actor_cpus(concurrency: Any) -> float:
-    """CPU claim of one processing actor: 1, unless the pool's minimum size
-    would claim every CPU — then the pool shares ``cpus - 1`` so read and
-    write tasks still schedule (at 1 CPU the actor claims none and
-    time-shares the core; a full claim there never lets a read task run)."""
-    lo = concurrency if isinstance(concurrency, int) else concurrency[0]
-    share = max(0, _cluster_cpus() - 1) / max(1, lo)
-    # rounded down to Ray's 1e-4 resource unit: rounding up would let the
-    # pool's claims add up past cpus - 1
-    return min(1, math.floor(share * 1e4) / 1e4)
+    """``(n, n)``: the most ``DocProcessor`` tasks that run at once, one per
+    CPU.  The task stage reserves no CPUs (read and write tasks take them as
+    they free), so ``reserve_div`` no longer changes the answer."""
+    n = _cluster_cpus()
+    return (n, n)
 
 
 _SMALL_INPUT_BYTES = 1 << 30  # below this, the winner scan is one task
@@ -421,7 +406,6 @@ def extract_pipeline(
     process_table: bool = True,
     process_formula: bool = True,
     batch_size: int = 8,
-    concurrency: Any = None,
     output: str = "json",
     num_gpus: float | None = None,
     resources: dict | None = None,
@@ -429,21 +413,25 @@ def extract_pipeline(
 ) -> ray.data.Dataset:
     """Build the lazy extraction Dataset from a parquet path or a Dataset.
 
-    One plan: read → one stale-crawl step → ``DocProcessor`` actor pool.
+    One plan: read → one stale-crawl step → ``DocProcessor`` task stage →
+    (the caller's) write; ``DocProcessor`` and the write fuse into one task,
+    with the dict route's ``drop_stale`` before them.  ``DocProcessor``
+    runs as tasks because no stage holds per-worker state until real model
+    weights exist: a job then starts no actor processes and holds no CPU
+    once it returns.
     A path source takes the stale-crawl route ``_stale_filter`` picks (none,
     dict or Bloom; see the module docstring); a Dataset source cannot be
     re-scanned for a winner map, so it runs ``dedup_latest`` (one sort
     exchange) over all its rows.
 
-    ``num_gpus`` / ``resources``: per-actor resource pins for the DETECTOR
+    ``num_gpus`` / ``resources``: per-task resource pins for the DETECTOR
     stage only (the north-star GPU-pinned batched inference seam) — passed
-    straight to the actor-pool ``map_batches``; with ``num_gpus`` set the
-    stage stops claiming a CPU slot (``num_cpus=0``) so the GPU actors and
-    the CPU read/write stages don't contend for the same slots.  When
-    both are None each actor claims one CPU (``_actor_cpus``: less only
-    when the pool would otherwise hold every CPU).  Without a GPU the
-    kwargs are exercised structurally (a test asserts they reach
-    ``map_batches``); on a GPU cluster they pin one detector actor per GPU.
+    straight to its ``map_batches``; with ``num_gpus`` set the stage stops
+    claiming a CPU slot (``num_cpus=0``) so the GPU tasks and the CPU
+    read/write stages don't contend for the same slots.  When both are None
+    each task claims one CPU.  Without a GPU the kwargs are exercised
+    structurally (a test asserts they reach ``map_batches``); on a GPU
+    cluster they pin each detector task to a GPU.
 
     ``output``: "json" (default) emits the public docs contract
     (``spans_json``/``formulas_json`` strings, byte-identical per url to
@@ -492,39 +480,30 @@ def extract_pipeline(
         )
         ds = unique.union(resolved)
     elif route.route == "dict":
-        # num_cpus=0.5 keeps this a TASK stage (no fusion into the actor
-        # pool): an ObjectRef captured in actor-constructor args breaks
-        # actor restarts (ray#53727); task retries just re-fetch the ref
         ds = ds.map_batches(
-            _make_drop_stale(route.winners_ref), batch_format="pyarrow",
-            num_cpus=0.5,
+            _make_drop_stale(route.winners_ref), batch_format="pyarrow"
         )
 
-    if concurrency is None:
-        concurrency = _default_concurrency(4 if route.route == "bloom" else 8)
     # detector-stage resource pins (GPU seam): num_gpus displaces the CPU
     # slot claim; custom resources (e.g. {"accelerator": 1}) pass through
-    detector_resources: dict[str, Any] = {
-        "num_cpus": 0 if num_gpus else _actor_cpus(concurrency),
-    }
+    detector_resources: dict[str, Any] = {"num_cpus": 0 if num_gpus else 1}
     if num_gpus is not None:
         detector_resources["num_gpus"] = num_gpus
     if resources is not None:
         detector_resources["resources"] = resources
 
-    # one actor stage: doc parse → page loop → detect → resolve →
-    # assemble, emitting finished doc rows — unit of work = document,
-    # no intermediate serialization, no output exchange.
+    # one task stage: doc parse → page loop → detect → resolve → assemble,
+    # emitting finished doc rows — unit of work = document, no intermediate
+    # serialization, no output exchange.  An instance, not the class: Ray
+    # runs it on the task pool, fused with the write (and with drop_stale).
     return ds.map_batches(
-        DocProcessor,
-        fn_constructor_kwargs=dict(
+        DocProcessor(
             model=model, zoom=zoom, thresholds=thresholds,
             process_table=process_table, process_formula=process_formula,
             output=output,
         ),
         batch_format="pyarrow",
         batch_size=batch_size,
-        concurrency=concurrency,
         **detector_resources,
     )
 

@@ -63,14 +63,16 @@ def _our_pool_workers() -> list[int]:
 @pytest.fixture(autouse=True)
 def no_leaked_pool_actor():
     """Between tests no dataset runs, so every CPU of the shared session
-    must be free again.  Ray can leak an actor-pool worker: a pool actor
-    still starting when its dataset finishes goes out of scope, the kill
-    reaches its worker before the actor id does and is ignored, and the
-    worker keeps its CPU lease.  The extraction pool takes all CPUs but
-    one, so the next pipeline's read task then never schedules and the
-    run hangs.  Once garbage collection has released any pool still
-    referenced, such a worker is killed here (its lease returns at once)
-    and reported as a warning."""
+    must be free again.  The flagship extraction runs as tasks and holds no
+    pool; this guards the actor-pool stages (``stages/protocol.py``'s
+    callable-class stages and the library ops built on them).  Ray can
+    leak an actor-pool worker: a pool actor still starting when its
+    dataset finishes goes out of scope, the kill reaches its worker before
+    the actor id does and is ignored, and the worker keeps its CPU lease,
+    so the next test's pipelines run short of that CPU, and a pool sized
+    to the free CPUs never starts.  Once garbage collection has released
+    any pool still referenced, such a worker is killed here (its lease
+    returns at once) and reported as a warning."""
     yield
     if not ray.is_initialized() or _cpus_free(1.0):
         return

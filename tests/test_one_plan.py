@@ -1,6 +1,6 @@
 """The one extraction plan: malformed %SDOC documents become status rows in
 the shared kernel, the dedup a Dataset source runs emits Arrow blocks with
-the declared columns, and one ~1000-page document runs on the per-document pool
+the declared columns, and one ~1000-page document runs on the per-document stage
 with no exchange."""
 
 import datetime as dt
@@ -90,7 +90,7 @@ def test_poison_sdoc_rows_do_not_abort_the_pipeline(ray_session, tmp_path):
     path = str(tmp_path / "pages.parquet")
     pq.write_table(t, path)
 
-    got = pa.Table.from_pandas(extract_pipeline(path, concurrency=(1, 2)).to_pandas())
+    got = pa.Table.from_pandas(extract_pipeline(path).to_pandas())
     _assert_matches_oracle(got, t)
     status = dict(zip(got["url"].to_pylist(), got["status"].to_pylist()))
     for url, (_, want) in POISON.items():
@@ -117,7 +117,7 @@ def test_dedup_latest_blocks_keep_their_columns(ray_session):
 
 
 def test_giant_document_on_the_one_plan(ray_session, tmp_path):
-    """One ~1000-page %SDOC among ordinary rows: the per-document pool
+    """One ~1000-page %SDOC among ordinary rows: the per-document stage
     serves it byte-identically, and the executed plan has no Sort."""
     t = generate_pages(40, seed=5).select(["url", "warc_ts", "html"])
     giant, _ = _make_sdoc_doc(random.Random(8), 1000)
@@ -129,7 +129,7 @@ def test_giant_document_on_the_one_plan(ray_session, tmp_path):
     path = str(tmp_path / "pages.parquet")
     pq.write_table(t, path)
 
-    ds = extract_pipeline(path, concurrency=(1, 2)).materialize()
+    ds = extract_pipeline(path).materialize()
     ops = ds.stats()
     assert "DocProcessor" in ops and "Sort" not in ops
     got = pa.Table.from_pandas(ds.to_pandas())

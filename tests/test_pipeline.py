@@ -26,7 +26,7 @@ def test_pipeline_matches_oracle_byte_identically(ray_session, pages_path):
     path, table = pages_path
     golden = {d["url"]: d for d in oracle_extract(table)}
 
-    out = extract_pipeline(path, concurrency=(1, 2)).to_pandas()
+    out = extract_pipeline(path).to_pandas()
     assert len(out) == len(golden)
     for row in out.itertuples(index=False):
         g = golden[row.url]
@@ -40,10 +40,11 @@ def test_pipeline_matches_oracle_byte_identically(ray_session, pages_path):
 
 
 def test_pipeline_deterministic_across_parallelism(ray_session, pages_path):
-    """Same output at different parallelism (SURVEY.md §4 determinism row)."""
+    """Same output at different batch sizes, so different task splits
+    (SURVEY.md §4 determinism row)."""
     path, _ = pages_path
-    a = extract_pipeline(path, concurrency=(1, 1), batch_size=16).to_pandas()
-    b = extract_pipeline(path, concurrency=(1, 4), batch_size=128).to_pandas()
+    a = extract_pipeline(path, batch_size=16).to_pandas()
+    b = extract_pipeline(path, batch_size=128).to_pandas()
     a = a.sort_values("url").reset_index(drop=True)
     b = b.sort_values("url").reset_index(drop=True)
     assert a.equals(b)
@@ -51,7 +52,7 @@ def test_pipeline_deterministic_across_parallelism(ray_session, pages_path):
 
 def test_spans_dataset_explodes(ray_session, pages_path):
     path, table = pages_path
-    docs = extract_pipeline(path, concurrency=(1, 2))
+    docs = extract_pipeline(path)
     spans = spans_dataset(docs).to_pandas()
     golden_spans = sum(len(d["spans"]) for d in oracle_extract(table))
     assert len(spans) == golden_spans

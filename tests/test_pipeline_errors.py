@@ -39,7 +39,7 @@ def messy_path(tmp_path_factory):
 @pytest.mark.parametrize("source", ["colocate", "dataset"])
 def test_error_rows_not_crashes(ray_session, messy_path, source):
     src = messy_path if source == "colocate" else ray.data.read_parquet(messy_path)
-    out = extract_pipeline(src, concurrency=(1, 2)).to_pandas()
+    out = extract_pipeline(src).to_pandas()
     by_url = {r.url: r for r in out.itertuples(index=False)}
     assert len(by_url) == 4
     assert by_url["https://x/corrupt"].status.startswith("parse_error")
@@ -57,7 +57,7 @@ def test_formulas_dataset(ray_session, tmp_path):
     t = generate_pages(60, seed=42)
     path = str(tmp_path / "p.parquet")
     pq.write_table(t, path)
-    docs = extract_pipeline(path, concurrency=(1, 2))
+    docs = extract_pipeline(path)
     formulas = formulas_dataset(docs).to_pandas()
     golden = sum(len(d["formulas"]) for d in oracle_extract(t))
     assert len(formulas) == golden

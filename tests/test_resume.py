@@ -181,7 +181,7 @@ def test_output_report(ray_session, tmp_path):
 
     path = str(tmp_path / "p.parquet")
     pq.write_table(generate_pages(50, seed=42), path)
-    docs = extract_pipeline(path, concurrency=(1, 2))
+    docs = extract_pipeline(path)
     rep = output_report(docs)
     assert rep["docs"].sum() == 50
     assert rep["errors"].sum() == 0

@@ -60,7 +60,7 @@ def test_three_dedup_paths_pick_identical_winner(ray_session, tmp_path):
         assert bytes(r.html) == golden[r.url], r.url
 
     # a Dataset source runs the grouped dedup exchange before DocProcessor
-    ds = extract_pipeline(ray.data.from_arrow(t), concurrency=(1, 2)).materialize()
+    ds = extract_pipeline(ray.data.from_arrow(t)).materialize()
     ops = set(re.findall(r"MapBatches\((\w+)\)", ds.stats()))
     assert ops == {"best_per_url_table", "DocProcessor"}, ops
     out = ds.to_pandas()
@@ -95,7 +95,7 @@ def test_colocate_auto_falls_back_on_same_ts_conflict(ray_session, tmp_path):
         "exact_dup_urls": 0, "bloom_reason": None,
     }
 
-    out = extract_pipeline(path, concurrency=(1, 2)).to_pandas()
+    out = extract_pipeline(path).to_pandas()
     golden = {d["url"]: d for d in oracle_extract(t)}
     assert len(out) == len(golden) == 3  # one row per url, no double emit
     for r in out.itertuples(index=False):

@@ -138,7 +138,7 @@ def test_zero_broadcast_bound_uses_bloom_and_matches_oracle(ray_session, tmp_pat
     try:
         route = ex._stale_filter(path)
         assert isinstance(route, ex.BloomRoute)
-        out = ex.extract_pipeline(path, concurrency=(1, 2)).to_pandas()
+        out = ex.extract_pipeline(path).to_pandas()
     finally:
         ex._WINNER_BROADCAST_MAX = old
 
@@ -164,9 +164,7 @@ def test_zero_broadcast_bound_distributed_scan_matches(ray_session, tmp_path):
     try:
         route = ex._stale_filter(path)
         assert isinstance(route, ex.BloomRoute)
-        out = ex.extract_pipeline(
-            path, concurrency=(1, 2), _winners_ref=route
-        ).to_pandas()
+        out = ex.extract_pipeline(path, _winners_ref=route).to_pandas()
     finally:
         ex._WINNER_BROADCAST_MAX, ex._SMALL_INPUT_BYTES = old_max, old_small
 
@@ -194,8 +192,8 @@ def test_nested_output_explodes_match_json_path(ray_session, tmp_path):
     path = str(tmp_path / "pages.parquet")
     pq.write_table(t, path)
 
-    docs_json = extract_pipeline(path, concurrency=(1, 2))
-    docs_nested = extract_pipeline(path, concurrency=(1, 2), output="nested")
+    docs_json = extract_pipeline(path)
+    docs_nested = extract_pipeline(path, output="nested")
 
     key = ["url", "page_no", "reading_order"]
     a = spans_dataset(docs_json).to_pandas().sort_values(key).reset_index(drop=True)
@@ -225,10 +223,10 @@ def test_nested_docs_scalars_match_json_docs(ray_session, tmp_path):
 
     cols = ["url", "text", "n_pages", "n_regions", "status", "template_json"]
     a = (
-        extract_pipeline(path, concurrency=(1, 2)).select_columns(cols)
+        extract_pipeline(path).select_columns(cols)
         .to_pandas().sort_values("url").reset_index(drop=True)
     )
-    nested = extract_pipeline(path, concurrency=(1, 2), output="nested")
+    nested = extract_pipeline(path, output="nested")
     nt = nested.to_arrow_refs()
     import ray as _ray
 
@@ -295,7 +293,7 @@ def test_extract_meta_sql_handles_parse_error_and_counts(ray_session, tmp_path):
     pq.write_table(full, path)
 
     got = (
-        extract_pipeline(path, concurrency=(1, 2))
+        extract_pipeline(path)
         .select_columns(["url", "n_pages", "n_regions", "status"])
         .to_pandas().sort_values("url").reset_index(drop=True)
     )
@@ -317,7 +315,7 @@ def test_extract_meta_sql_handles_parse_error_and_counts(ray_session, tmp_path):
     )
 
     spans = spans_dataset(
-        extract_pipeline(path, concurrency=(1, 2), output="nested")
+        extract_pipeline(path, output="nested")
     ).to_pandas()
     truth = (
         spans.groupby(["url", "page_no", "label"]).size().rename("n_spans")

@@ -517,6 +517,27 @@ def test_embedding_covariance_matches_duckdb(ray_session):
     _assert_frames_equal(got, want, ["label", "dim_i", "dim_j"])
 
 
+def test_embedding_covariance_raises_on_int64_overflow(ray_session, tmp_path):
+    """cov_num = n·s_ij − s_i·s_j past int64 raises instead of wrapping:
+    four vectors at ±1e6 (q = ±1e9) give cov_num[0, 0] = 1.6e19 while
+    every Gram partial still fits."""
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    from action_pdf_accessibility_paddle_docker_ray.pipelines.analytics import (
+        embedding_covariance,
+    )
+
+    big = [[1e6, 0.0], [-1e6, 0.0], [1e6, 0.0], [-1e6, 0.0]]
+    pq.write_table(pa.table({
+        "vec_id": pa.array(range(4), pa.int64()),
+        "embedding": pa.array(big, pa.list_(pa.float32())),
+        "label": pa.array([7] * 4, pa.int32()),
+    }), str(tmp_path / "embeddings.parquet"))
+    with pytest.raises(OverflowError, match="label 7"):
+        embedding_covariance(str(tmp_path))
+
+
 def test_embedding_covariance_matches_numpy(ray_session):
     """Semantic pin the SQL replay shares with the op: cov_num / n^2 must
     equal numpy's population covariance of the quantized vectors."""

@@ -34,7 +34,7 @@ def test_pipeline_output_schemas_match_declarations(ray_session, tmp_path):
 
     path = str(tmp_path / "p.parquet")
     pq.write_table(generate_pages(15, seed=2), path)
-    docs = extract_pipeline(path, concurrency=(1, 2))
+    docs = extract_pipeline(path)
     table = pa.Table.from_pandas(docs.to_pandas(), preserve_index=False)
     # pandas round-trip loses exact int widths; check names only + spot types
     assert set(table.column_names) == set(schemas.DOCS.names)

@@ -143,7 +143,7 @@ def test_tie_corpus_takes_dict_route_without_exchange(ray_session, tmp_path):
     route = ex._stale_filter(path)
     assert route.route == "dict" and route.tied_urls > 0, route.summary()
 
-    ds = ex.extract_pipeline(path, concurrency=(1, 2)).materialize()
+    ds = ex.extract_pipeline(path).materialize()
     ops = ds.stats()  # the executed plan
     assert "drop_stale" in ops
     assert "Sort" not in ops and "split" not in ops
@@ -156,7 +156,7 @@ def test_exact_duplicate_rows_give_one_row_per_url(ray_session, tmp_path):
     pq.write_table(t, path)
 
     out = str(tmp_path / "out")
-    ex.extract_to_parquet(path, out, concurrency=(1, 2))
+    ex.extract_to_parquet(path, out)
     _assert_matches_oracle(pq.read_table(out), t)
 
 
@@ -198,7 +198,7 @@ def test_chunked_resume_matches_oracle(ray_session, tmp_path, monkeypatch, bound
 
 def test_one_cpu_session_completes(tmp_path):
     """Its own ``ray.init(num_cpus=1)`` session in a subprocess: the
-    processing pool must leave the read and write tasks a CPU."""
+    read, processing and write tasks take turns on the one CPU."""
     script = textwrap.dedent(f"""
         import pyarrow.parquet as pq
         import ray

@@ -289,13 +289,13 @@ def run_tag(args) -> int:
             )
             print(json.dumps({"run": summary, "report": metrics_report(args.output)}))
         else:
-            from .pipelines.extract import extract_pipeline
+            from .pipelines.extract import extract_to_parquet
 
-            ds = extract_pipeline(
-                args.input, model=args.model, zoom=args.zoom, thresholds=thresholds,
-                process_table=args.process_table, process_formula=args.process_formula,
+            extract_to_parquet(
+                args.input, args.output, model=args.model, zoom=args.zoom,
+                thresholds=thresholds, process_table=args.process_table,
+                process_formula=args.process_formula,
             )
-            ds.write_parquet(args.output, partition_cols=["size_bucket"])
     except FileNotFoundError as exc:
         print(f"Failed to open input: {exc}", file=sys.stderr)
         return EC_ENGINE_FAILED_TO_OPEN

@@ -43,6 +43,7 @@ import ray.data
 
 from .. import ensure_picklable
 from ..sources.pages import read_table
+from .util import colocate
 
 _PR_SCALE = 1_000_000_000_000  # rank mass unit = 1e-12
 _PR_ITERS = 5
@@ -53,19 +54,18 @@ _PR_EDGE_MUL, _PR_EDGE_OFF = 37, 101
 
 
 def _grouped_sum(ds: ray.data.Dataset, keys: list[str]) -> ray.data.Dataset:
-    """sort(keys) -> vectorized per-block pandas groupby-sum.
+    """``colocate(keys)`` -> vectorized per-block pandas groupby-sum.
 
-    The sort co-locates every key's rows in one block (the same
-    guarantee ``util.grouped_block_map`` relies on), so a block-level
-    ``DataFrame.groupby(...).sum()`` is a complete grouped aggregation
-    — with zero per-group Python dispatch, unlike map_groups."""
+    Every key's rows are in one block (``util`` module docstring), so a
+    block-level ``DataFrame.groupby(...).sum()`` is a complete grouped
+    aggregation — with zero per-group Python dispatch, unlike map_groups."""
 
     def block(df: pd.DataFrame) -> pd.DataFrame:
         if len(df) == 0:
             return df
         return df.groupby(keys, as_index=False, sort=False).sum()
 
-    return ds.sort(keys).map_batches(block, batch_format="pandas", batch_size=None)
+    return colocate(ds, keys, block)
 
 
 def _edge_dsts(node: np.ndarray, n_nodes: int, min_id: int) -> list[np.ndarray]:
@@ -334,9 +334,7 @@ def label_centroids(sf_dir: str) -> ray.data.Dataset:
             {"label": g["label"], "dim": g["dim"], "centroid_q": cq}
         )
 
-    return parts.sort(["label", "dim"]).map_batches(
-        finish, batch_format="pandas", batch_size=None
-    )
+    return colocate(parts, ["label", "dim"], finish)
 
 
 _PROFILE_COLS = ("doc_id", "text", "lang", "source", "n_chars")
@@ -423,8 +421,7 @@ def table_profile(sf_dir: str, *, exact: bool = True) -> pd.DataFrame:
     if exact:
         hashes = ds.map_batches(hash_rows, batch_format="pandas")
         dparts = (
-            hashes.sort(["column", "h"])
-            .map_batches(distinct_partials, batch_format="pandas", batch_size=None)
+            colocate(hashes, ["column", "h"], distinct_partials)
             .to_pandas()
         )
         distinct = dparts.groupby("column")["d"].sum() if len(dparts) else pd.Series(dtype="int64")
@@ -510,8 +507,7 @@ _CM_PROBES = (
 
 def _cm_cells(tok: str) -> list[int]:
     """The token's cell per sketch row: fmix32(fnv1a32(tok) ^ seed_i) % W."""
-    from ..functions.fnv import fnv1a_32
-    from .dedup_ops import fmix32
+    from ..functions.fnv import fmix32, fnv1a_32
 
     fh = fnv1a_32(tok)
     return [fmix32(fh ^ s) % _CM_WIDTH for s in _CM_SEEDS]
@@ -899,7 +895,7 @@ def approx_quantiles(
     is the sketch's total weight — the full row count — in sketch mode).
     """
     ensure_picklable()
-    from .sampling import fmix32_np
+    from ..functions.fnv import fmix32_np
 
     emb = read_table(sf_dir, "embeddings", columns=["vec_id", "embedding"])
     n = emb.count()  # one scalar to the driver
@@ -1110,7 +1106,7 @@ def label_quantiles(sf_dir: str, *, target: int = _LQ_TARGET) -> pd.DataFrame:
     ensure_picklable()
     import ray
 
-    from .sampling import fmix32_np
+    from ..functions.fnv import fmix32_np
     from .util import grouped_block_map
 
     emb = read_table(sf_dir, "embeddings", columns=["vec_id", "embedding", "label"])

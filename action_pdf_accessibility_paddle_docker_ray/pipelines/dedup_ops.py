@@ -11,7 +11,7 @@ Scale shapes (per the Ray Data dedup pattern):
   way (round-1 shipped full texts through every band row; that was the
   measured scale-killer, 16× payload amplification).
 - **Verification** re-joins the text payload onto the *surviving candidate
-  pairs only* via bucketed hash joins — the exchange volume is bounded by
+  pairs only* via co-partitioned hash joins — the exchange volume is bounded by
   the survivor count (output-sized), never the corpus.
 - **Exact verify**: minhash_dedup and jaccard_pairs verify candidates with
   the EXACT char-k-gram Jaccard (LSH is only the candidate generator), so
@@ -40,29 +40,15 @@ import pandas as pd
 import ray.data
 
 from .. import ensure_picklable
-from ..functions.fnv import fnv1a_32
+from ..functions.fnv import fmix32, fmix32_np, fnv1a_32
 from ..sources.pages import read_table
-from .util import grouped_block_dedup, grouped_block_map
+from .util import colocate, copartition, grouped_block_dedup, grouped_block_map
 
 _MERSENNE_P = (1 << 61) - 1
 
 _FNV64_PRIME = np.uint64(1099511628211)
 _MIX1 = np.uint64(0xFF51AFD7ED558CCD)
 _MIX2 = np.uint64(0xC4CEB9FE1A85EC53)
-
-VERIFY_BUCKETS = 64  # hash-join buckets for candidate-pair verification
-
-
-def fmix32(h: int) -> int:
-    """murmur3 32-bit finalizer (public domain) — also generated in SQL by
-    the DuckDB oracle (pipelines/sql_oracles.py), so keep bit-exact."""
-    h &= 0xFFFFFFFF
-    h ^= h >> 16
-    h = (h * 0x85EBCA6B) & 0xFFFFFFFF
-    h ^= h >> 13
-    h = (h * 0xC2B2AE35) & 0xFFFFFFFF
-    h ^= h >> 16
-    return h
 
 
 def _shingle_hashes(text: str, k: int = 5) -> np.ndarray:
@@ -334,7 +320,7 @@ def lsh_candidate_pairs(
     )
     # NOTE: a pair found by several bands appears several times; the
     # verify join dedupes it for free (same-`a` copies co-locate in its
-    # first bucketed join) — see exact_jaccard_verify
+    # first co-partitioned join) — see exact_jaccard_verify
     if est_prefilter is None:
         def plain_pairs(df: pd.DataFrame) -> pd.DataFrame:
             return _bucket_pairs(df, spanning_cap=spanning_cap)
@@ -388,94 +374,70 @@ def lsh_candidate_pairs(
             return pd.concat(outs, ignore_index=True).astype("int64")
         return empty
 
-    return banded.sort(["band", "band_hash"]).map_batches(
-        block, batch_format="pandas", batch_size=None
-    )
+    return colocate(banded, ["band", "band_hash"], block)
 
 
-# ---------------------------------------------------------------------------
-# verification: bucketed join of per-doc payload onto candidate pairs
-# ---------------------------------------------------------------------------
+def _drop_ids(ids: ray.data.Dataset, drop_ds: ray.data.Dataset) -> ray.data.Dataset:
+    """The distinct doc_ids of ``ids`` that are not in ``drop_ds`` — the
+    anti-join path of the dual drop plans: one co-partition on doc_id, a
+    vectorized ``isin`` per block (every row of one doc_id, on both sides,
+    is in the block, so block-local absence is global absence)."""
 
-_PAIR_COLS = ("a", "b", "payload_a", "payload_b")
+    def anti(p: dict) -> pd.DataFrame:
+        keep = p["ids"].drop_duplicates("doc_id")
+        return keep[~keep["doc_id"].isin(p["drop"]["doc_id"])]
 
-
-def _empty_pair_frame() -> pd.DataFrame:
-    return pd.DataFrame(
+    return copartition(
         {
-            "a": pd.Series([], dtype="int64"),
-            "b": pd.Series([], dtype="int64"),
-            "payload_a": pd.Series([], dtype="object"),
-            "payload_b": pd.Series([], dtype="object"),
-        }
+            "ids": (ids, ["doc_id"], {"doc_id": "int64"}),
+            "drop": (drop_ds, ["doc_id"], {"doc_id": "int64"}),
+        },
+        anti,
     )
+
+
+# ---------------------------------------------------------------------------
+# verification: co-partitioned join of per-doc payload onto candidate pairs
+# ---------------------------------------------------------------------------
+
+_PAIRS = {"a": "int64", "b": "int64", "payload_a": "object", "payload_b": "object"}
 
 
 def _attach_payload(
     pairs: ray.data.Dataset, docs_payload: ray.data.Dataset, key: str, fill: str,
     dedupe: bool = False, missing: str | None = "|",
 ) -> ray.data.Dataset:
-    """Bucketed hash join: pairs.<key> ⋈ docs_payload.doc_id, filling the
-    ``fill`` column with the doc's packed payload string (``missing`` for a
-    pair whose doc lookup missed; None leaves it null).
+    """Co-partitioned hash join (``util.copartition``): pairs.<key> ⋈
+    docs_payload.doc_id, filling the ``fill`` column with the doc's packed
+    payload string (``missing`` for a pair whose doc lookup missed; None
+    leaves it null).
 
-    Both sides co-locate on ``key % VERIFY_BUCKETS``; the exchange ships the
-    (small) candidate pair rows and ONE copy of each doc's payload — never
+    The exchange sorts on the doc id itself and ships the (small)
+    candidate pair rows and ONE copy of each doc's payload — never
     payload × bands.  Pair rows keep a fixed (a, b, payload_a, payload_b)
     schema through both passes so blocks stay schema-stable."""
 
-    def tag_pairs(df: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame(
-            {
-                "bucket": (df[key] % VERIFY_BUCKETS).astype("int64"),
-                "side": "p",
-                "doc_id": np.int64(-1),
-                "a": df["a"].astype("int64"),
-                "b": df["b"].astype("int64"),
-                "payload_a": df["payload_a"].astype("object"),
-                "payload_b": df["payload_b"].astype("object"),
-                "doc_payload": "",
-            }
-        )
-
-    def tag_docs(df: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame(
-            {
-                "bucket": (df["doc_id"] % VERIFY_BUCKETS).astype("int64"),
-                "side": "d",
-                "doc_id": df["doc_id"].astype("int64"),
-                "a": np.int64(-1),
-                "b": np.int64(-1),
-                "payload_a": "",
-                "payload_b": "",
-                "doc_payload": df["payload"].astype("object"),
-            }
-        )
-
-    both = pairs.map_batches(tag_pairs, batch_format="pandas").union(
-        docs_payload.map_batches(tag_docs, batch_format="pandas")
-    )
-
-    def join_bucket(df: pd.DataFrame) -> pd.DataFrame:
-        p = df[df["side"] == "p"]
-        d = df[df["side"] == "d"]
-        if len(p) == 0:
-            return _empty_pair_frame()
-        out = p[list(_PAIR_COLS)].copy()
+    def join_block(p: dict) -> pd.DataFrame:
+        out, d = p["p"], p["d"]
         if dedupe:
             # every copy of a pair shares its `key` value, so all copies
-            # land in THIS bucket — a local drop is a global distinct
+            # land in THIS block — a local drop is a global distinct
             out = out.drop_duplicates(["a", "b"])
-        lookup = dict(zip(d["doc_id"], d["doc_payload"]))
         # the default fill is the VALID empty packed payload "|" (sig part
         # empty, text empty) — `_unpack_payload("")` would raise
-        payload = out[key].map(lookup)
+        payload = out[key].map(dict(zip(d["doc_id"], d["payload"])))
         out[fill] = (payload if missing is None else payload.fillna(missing)).astype(
             "object"
         )
         return out
 
-    return grouped_block_map(both, ["bucket"], join_bucket)
+    return copartition(
+        {
+            "p": (pairs, [key], _PAIRS),
+            "d": (docs_payload, ["doc_id"], {"doc_id": "int64", "payload": "object"}),
+        },
+        join_block,
+    )
 
 
 def _pack_payload(sig: np.ndarray | None, text: str) -> str:
@@ -506,7 +468,7 @@ def exact_jaccard_verify(
       (``ray.put``); verification is a plain ``map_batches`` over the pair
       rows — ZERO additional sort exchanges.  Driver/broadcast memory is
       bounded by the candidate count.
-    - above the limit: two bucketed hash joins co-locate each pair with
+    - above the limit: two co-partitioned hash joins co-locate each pair with
       its payloads (``_attach_payload``) — all-exchange, nothing
       broadcast, unbounded-safe.
 
@@ -991,29 +953,7 @@ def dedup_corpus(
 
         return docs.map_batches(keep_fn, batch_format="pandas")
 
-    # anti-join path: docs side (is_drop=0) ∪ drop side (is_drop=1), one
-    # grouped exchange on doc_id, emit the doc iff no drop row in its group
-    def tag_docs(df: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame(
-            {"doc_id": df["doc_id"].astype("int64"),
-             "is_drop": np.zeros(len(df), dtype=np.int64)}
-        )
-
-    def tag_drop(df: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame(
-            {"doc_id": df["doc_id"].astype("int64"),
-             "is_drop": np.ones(len(df), dtype=np.int64)}
-        )
-
-    def resolve(g: pd.DataFrame) -> pd.DataFrame:
-        if (g["is_drop"] > 0).any():
-            return pd.DataFrame({"doc_id": pd.Series([], dtype="int64")})
-        return pd.DataFrame({"doc_id": [int(g["doc_id"].iloc[0])]})
-
-    both = docs.map_batches(tag_docs, batch_format="pandas").union(
-        drop_ds.map_batches(tag_drop, batch_format="pandas")
-    )
-    return grouped_block_map(both, ["doc_id"], resolve)
+    return _drop_ids(docs, drop_ds)
 
 
 def minhash_dedup_components_ds(
@@ -1444,38 +1384,16 @@ def keep_best_drop_ds(
 
         members = docs.map_batches(cluster_rows, batch_format="pandas")
     else:
-        def tag_docs(df: pd.DataFrame) -> pd.DataFrame:
-            return pd.DataFrame(
-                {
-                    "doc_id": df["doc_id"].astype("int64"),
-                    "rep_id": np.full(len(df), -1, dtype=np.int64),
-                    "n_chars": df["n_chars"].astype("int64"),
-                }
-            )
+        def join_one(p: dict) -> pd.DataFrame:
+            # clustered docs only: one comp row ⋈ one docs row per doc_id
+            return p["c"].merge(p["d"], on="doc_id")[["rep_id", "doc_id", "n_chars"]]
 
-        def tag_comp(df: pd.DataFrame) -> pd.DataFrame:
-            return pd.DataFrame(
-                {
-                    "doc_id": df["doc_id"].astype("int64"),
-                    "rep_id": df["rep_id"].astype("int64"),
-                    "n_chars": np.full(len(df), -1, dtype=np.int64),
-                }
-            )
-
-        def join_one(df: pd.DataFrame) -> pd.DataFrame:
-            # colocated per doc_id: at most one comp row + one docs row
-            g = df.groupby("doc_id", sort=False).agg(
-                rep_id=("rep_id", "max"), n_chars=("n_chars", "max")
-            ).reset_index()
-            g = g[g["rep_id"] >= 0]  # clustered docs only
-            return g[["rep_id", "doc_id", "n_chars"]].astype("int64")
-
-        both = docs.map_batches(tag_docs, batch_format="pandas").union(
-            comp.map_batches(tag_comp, batch_format="pandas")
-        )
-        members = (
-            both.sort(["doc_id"])
-            .map_batches(join_one, batch_format="pandas", batch_size=None)
+        members = copartition(
+            {
+                "d": (docs, ["doc_id"], {"doc_id": "int64", "n_chars": "int64"}),
+                "c": (comp, ["doc_id"], {"doc_id": "int64", "rep_id": "int64"}),
+            },
+            join_one,
         )
 
     def pick_losers(df: pd.DataFrame) -> pd.DataFrame:
@@ -1492,8 +1410,7 @@ def keep_best_drop_ds(
         return pd.DataFrame({"doc_id": losers["doc_id"].astype("int64")})
 
     return (
-        members.sort(["rep_id"])
-        .map_batches(pick_losers, batch_format="pandas", batch_size=None)
+        colocate(members, ["rep_id"], pick_losers)
         .materialize()
     )
 
@@ -1518,14 +1435,12 @@ def dedup_keep_best(
     dispatch); the winner-complement drop set then reuses
     ``dedup_corpus``'s broadcast-or-anti-join keep filter.  Above the
     bound the cluster map stays a Dataset and the same rows come from a
-    tagged-sides grouped join on doc_id.  Nothing cluster-shaped reaches
+    co-partitioned join on doc_id.  Nothing cluster-shaped reaches
     the driver beyond the proven-bounded broadcast.
 
     Output: (doc_id,) of every surviving document.
     """
     import ray
-
-    from .util import grouped_block_map
 
     drop_ds = keep_best_drop_ds(
         sf_dir, num_perm=num_perm, bands=bands, threshold=threshold,
@@ -1550,27 +1465,7 @@ def dedup_keep_best(
 
         return ids.map_batches(keep_fn, batch_format="pandas")
 
-    def tag_ids(df: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame(
-            {"doc_id": df["doc_id"].astype("int64"),
-             "is_drop": np.zeros(len(df), dtype=np.int64)}
-        )
-
-    def tag_drop(df: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame(
-            {"doc_id": df["doc_id"].astype("int64"),
-             "is_drop": np.ones(len(df), dtype=np.int64)}
-        )
-
-    def resolve(g: pd.DataFrame) -> pd.DataFrame:
-        if (g["is_drop"] > 0).any():
-            return pd.DataFrame({"doc_id": pd.Series([], dtype="int64")})
-        return pd.DataFrame({"doc_id": [int(g["doc_id"].iloc[0])]})
-
-    both = ids.map_batches(tag_ids, batch_format="pandas").union(
-        drop_ds.map_batches(tag_drop, batch_format="pandas")
-    )
-    return grouped_block_map(both, ["doc_id"], resolve)
+    return _drop_ids(ids, drop_ds)
 
 
 def sql_dedup_keep_best(threshold: float = 0.7, k: int = 5) -> str:
@@ -1650,12 +1545,10 @@ def incremental_fuzzy_dedup(
     space — never pays verification here; internal new-side near-dups
     are ``dedup_corpus``'s job on the surviving half.  The drop set
     (new ids with a verified existing near-dup) is output-sized:
-    broadcast under ``drop_broadcast_max``, else a tagged-sides grouped
-    anti-join.  Output: (doc_id,) of surviving new-crawl documents.
+    broadcast under ``drop_broadcast_max``, else a co-partitioned
+    anti-join (``_drop_ids``).  Output: (doc_id,) of surviving new-crawl documents.
     """
     import ray
-
-    from .util import grouped_block_map
 
     ensure_picklable()
     drop_ds, split = incremental_fuzzy_drop_ds(
@@ -1692,27 +1585,7 @@ def incremental_fuzzy_dedup(
 
         return new_ids.map_batches(keep_fn, batch_format="pandas")
 
-    def tag_ids(df: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame(
-            {"doc_id": df["doc_id"].astype("int64"),
-             "is_drop": np.zeros(len(df), dtype=np.int64)}
-        )
-
-    def tag_drop(df: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame(
-            {"doc_id": df["doc_id"].astype("int64"),
-             "is_drop": np.ones(len(df), dtype=np.int64)}
-        )
-
-    def resolve(g: pd.DataFrame) -> pd.DataFrame:
-        if (g["is_drop"] > 0).any():
-            return pd.DataFrame({"doc_id": pd.Series([], dtype="int64")})
-        return pd.DataFrame({"doc_id": [int(g["doc_id"].iloc[0])]})
-
-    both = new_ids.map_batches(tag_ids, batch_format="pandas").union(
-        drop_ds.map_batches(tag_drop, batch_format="pandas")
-    )
-    return grouped_block_map(both, ["doc_id"], resolve)
+    return _drop_ids(new_ids, drop_ds)
 
 
 def sql_incremental_fuzzy_dedup(threshold: float = 0.7, k: int = 5) -> str:
@@ -1769,8 +1642,6 @@ def contrastive_pairs(
     Output: (anchor_id, positive_id, negative_id).
     """
     ensure_picklable()
-    from .sampling import fmix32_np
-
     ids = read_table(sf_dir, "documents", columns=["doc_id"])
     n = ids.count()
     empty = pd.DataFrame(
@@ -1873,8 +1744,6 @@ def dedup_eval(
     """
     ensure_picklable()
     import ray
-
-    from .sampling import fmix32_np
 
     docs = read_table(sf_dir, "documents", columns=["doc_id", "text"])
     n = docs.count()
@@ -2038,7 +1907,7 @@ def _wordset_verify(
 
     Same dual plan as ``exact_jaccard_verify``: candidates ≤
     ``broadcast_limit`` gather the involved texts once (``ray.put``) and
-    verify with zero extra exchanges; above it, the two bucketed
+    verify with zero extra exchanges; above it, the two co-partitioned
     ``_attach_payload`` joins co-locate each pair with its payloads."""
     import re
 
@@ -2188,7 +2057,7 @@ def ppjoin_pairs(
        output of an m-clone cluster is intrinsic output, not overhead
        (the spanning-cap shortcut of the component-building dedup ops
        would change this op's answer);
-    5. exact verify (``_wordset_verify``) — broadcast-or-bucketed by
+    5. exact verify (``_wordset_verify``) — broadcast-or-co-partitioned by
        candidate volume, output-sized either way.
 
     Output: (a, b, n_a, n_b, n_common, jaccard_milli), exact integers.
@@ -2217,9 +2086,7 @@ def ppjoin_pairs(
         )
         return df
 
-    dt_df = dt.sort(["token"]).map_batches(
-        df_block, batch_format="pandas", batch_size=None
-    )
+    dt_df = colocate(dt, ["token"], df_block)
 
     def prefix_block(df: pd.DataFrame) -> pd.DataFrame:
         if len(df) == 0:
@@ -2246,9 +2113,7 @@ def ppjoin_pairs(
             }
         )
 
-    pref = dt_df.sort(["doc_id"]).map_batches(
-        prefix_block, batch_format="pandas", batch_size=None
-    )
+    pref = colocate(dt_df, ["doc_id"], prefix_block)
 
     def bucket_cand(g: pd.DataFrame) -> pd.DataFrame:
         """Pairs passing BOTH the length filter and PPJoin's positional
@@ -2365,7 +2230,7 @@ def containment_pairs(
     joins cost more than similarity joins, here one corpus-token-sized
     bucket side vs two prefix sides).  Per-bucket emission pairs probe
     rows with container rows under the length filter den·ℓb ≥ num·ℓa
-    (slab-evaluated), and the dual broadcast-or-bucketed exact verify
+    (slab-evaluated), and the dual broadcast-or-co-partitioned exact verify
     decides den·|Sa∩Sb| ≥ num·ℓa — all-integer, no float threshold.
 
     ``min_contained`` floors the CONTAINED side's distinct-token count —
@@ -2394,9 +2259,7 @@ def containment_pairs(
         )
         return df
 
-    dt_df = dt.sort(["token"]).map_batches(
-        df_block, batch_format="pandas", batch_size=None
-    )
+    dt_df = colocate(dt, ["token"], df_block)
 
     def sides_block(df: pd.DataFrame) -> pd.DataFrame:
         """Per doc: ALL tokens as container rows (side 'f') + the
@@ -2424,9 +2287,7 @@ def containment_pairs(
         probe["side"] = "p"
         return pd.concat([full, probe], ignore_index=True)
 
-    sides = dt_df.sort(["doc_id"]).map_batches(
-        sides_block, batch_format="pandas", batch_size=None
-    )
+    sides = colocate(dt_df, ["doc_id"], sides_block)
 
     def bucket_cand(g: pd.DataFrame) -> pd.DataFrame:
         empty = pd.DataFrame(

@@ -122,17 +122,14 @@ class BloomRoute(StaleRoute):
 
 
 def _merge_winner_partials(df):
-    """Merge per-batch (url, max_ts, n_at_max, n) partials of one url."""
-    import pandas as pd
-
-    best = int(df["max_ts"].max())
-    return pd.DataFrame(
-        {
-            "url": [df["url"].iloc[0]],
-            "max_ts": [best],
-            "n_at_max": [int(df.loc[df["max_ts"] == best, "n_at_max"].sum())],
-            "n": [int(df["n"].sum())],
-        }
+    """Merge per-batch (url, max_ts, n_at_max, n) partials per url, for a
+    frame holding every partial of each of its urls."""
+    at_max = df["max_ts"] == df.groupby("url", sort=False)["max_ts"].transform("max")
+    return (
+        df.assign(n_at_max=df["n_at_max"].where(at_max, 0))
+        .groupby("url", sort=False)
+        .agg(max_ts=("max_ts", "max"), n_at_max=("n_at_max", "sum"), n=("n", "sum"))
+        .reset_index()
     )
 
 
@@ -282,9 +279,9 @@ def _distributed_dups(files: list) -> tuple:
     import pandas as pd
     import pyarrow.compute as pc
 
-    from .util import grouped_block_map
+    from .util import colocate
 
-    merged = grouped_block_map(
+    merged = colocate(
         read_pages(files, columns=["url", "warc_ts"]).map_batches(
             _winner_partials, batch_format="pandas"
         ),

@@ -2,14 +2,14 @@
 portable patterns (SURVEY.md §2.4 notes; the reference itself has no data
 joins beyond the formula-id lookup).
 
-- ``orders_lineitem_join``: BOTH-SIDES-LARGE partitioned hash join — add a
-  ``bucket = key % B`` column to both sides, union, co-locate buckets with
-  one grouped exchange, pandas merge inside each bucket.  Hot keys would be
-  salted into sub-buckets at scale (keys here are uniform).
+- ``orders_lineitem_join``: BOTH-SIDES-LARGE partitioned hash join —
+  ``util.copartition`` sorts both sides on the join key in one exchange
+  and merges them in pandas inside each block.  Hot keys are salted: the
+  sort runs on ``(key, salt)`` (``orders_lineitem_join_salted``).
 - ``events_asof_order``: AS-OF join (each event matched to the most recent
-  order at-or-before its timestamp for the same customer) — bucket by key,
-  ``pd.merge_asof`` per bucket over time-sorted frames.  DuckDB's native
-  ``ASOF JOIN`` is the oracle.
+  order at-or-before its timestamp for the same customer) — co-partition on
+  the customer, ``pd.merge_asof`` by customer per block over time-sorted
+  frames.  DuckDB's native ``ASOF JOIN`` is the oracle.
 """
 
 from __future__ import annotations
@@ -20,9 +20,39 @@ import ray.data
 
 from .. import ensure_picklable
 from ..sources.pages import read_table
-from .util import grouped_block_map
+from .util import colocate, copartition
 
-JOIN_BUCKETS = 32
+
+def _priority_partials(p: dict, salt: tuple = ()) -> pd.DataFrame:
+    """One block of orders ⋈ lineitem → (priority, part_n, part_qty)."""
+    j = p["l"].merge(p["o"], left_on=["l_orderkey", *salt], right_on=["o_orderkey", *salt])
+    g = j.groupby("o_orderpriority", sort=True).agg(
+        part_n=("l_quantity", "size"), part_qty=("l_quantity", "sum")
+    )
+    return g.reset_index().rename(columns={"o_orderpriority": "priority"})
+
+
+def _sum_priority_partials(partials: ray.data.Dataset) -> ray.data.Dataset:
+    from ray.data.aggregate import Sum
+
+    agg = partials.groupby("priority").aggregate(
+        Sum("part_n", alias_name="n_items"), Sum("part_qty", alias_name="qty_raw")
+    )
+
+    def finish(df: pd.DataFrame) -> pd.DataFrame:
+        return pd.DataFrame(
+            {
+                "o_orderpriority": df["priority"],
+                "n_items": df["n_items"].astype("int64"),
+                "sum_qty": df["qty_raw"].round(0).astype("int64"),
+            }
+        )
+
+    return agg.map_batches(finish, batch_format="pandas")
+
+
+_ORDERS = {"o_orderkey": "int64", "o_orderpriority": "object"}
+_LINES = {"l_orderkey": "int64", "l_quantity": "float64"}
 
 
 def orders_lineitem_join(sf_dir: str) -> ray.data.Dataset:
@@ -32,147 +62,93 @@ def orders_lineitem_join(sf_dir: str) -> ray.data.Dataset:
     oracle at any parallelism.
     """
     ensure_picklable()
-    from ray.data.aggregate import Sum
 
-    orders = read_table(sf_dir, "orders", columns=["o_orderkey", "o_orderpriority"])
-    lineitem = read_table(sf_dir, "lineitem", columns=["l_orderkey", "l_quantity"])
-
-    def tag_orders(df: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame(
-            {
-                "key": df["o_orderkey"].astype("int64"),
-                "bucket": (df["o_orderkey"] % JOIN_BUCKETS).astype("int64"),
-                "side": "o",
-                "priority": df["o_orderpriority"],
-                "qty": 0.0,
-            }
+    orders = read_table(sf_dir, "orders", columns=list(_ORDERS))
+    lineitem = read_table(sf_dir, "lineitem", columns=list(_LINES))
+    return _sum_priority_partials(
+        copartition(
+            {"o": (orders, ["o_orderkey"], _ORDERS), "l": (lineitem, ["l_orderkey"], _LINES)},
+            _priority_partials,
         )
-
-    def tag_lineitem(df: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame(
-            {
-                "key": df["l_orderkey"].astype("int64"),
-                "bucket": (df["l_orderkey"] % JOIN_BUCKETS).astype("int64"),
-                "side": "l",
-                "priority": "",
-                "qty": df["l_quantity"].astype("float64"),
-            }
-        )
-
-    both = orders.map_batches(tag_orders, batch_format="pandas").union(
-        lineitem.map_batches(tag_lineitem, batch_format="pandas")
     )
-
-    def join_bucket(df: pd.DataFrame) -> pd.DataFrame:
-        o = df[df["side"] == "o"][["key", "priority"]]
-        li = df[df["side"] == "l"][["key", "qty"]]
-        if len(o) == 0 or len(li) == 0:
-            return pd.DataFrame(
-                {"priority": pd.Series([], dtype="object"),
-                 "part_n": pd.Series([], dtype="int64"),
-                 "part_qty": pd.Series([], dtype="float64")}
-            )
-        j = li.merge(o, on="key", how="inner")
-        g = j.groupby("priority", sort=True).agg(part_n=("qty", "size"), part_qty=("qty", "sum"))
-        return g.reset_index()
-
-    partials = grouped_block_map(both, ["bucket"], join_bucket)
-    agg = partials.groupby("priority").aggregate(
-        Sum("part_n", alias_name="n_items"), Sum("part_qty", alias_name="qty_raw")
-    )
-
-    def finish(df: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame(
-            {
-                "o_orderpriority": df["priority"],
-                "n_items": df["n_items"].astype("int64"),
-                "sum_qty": df["qty_raw"].round(0).astype("int64"),
-            }
-        )
-
-    return agg.map_batches(finish, batch_format="pandas")
 
 
 def orders_lineitem_join_salted(sf_dir: str, *, salt: int = 4) -> ray.data.Dataset:
     """The same partitioned hash join with HOT-KEY SALTING: the probe side
-    (lineitem) spreads each key over ``salt`` sub-buckets via a
-    deterministic row hash, and the build side (orders) replicates each row
-    into all ``salt`` sub-buckets.  A key whose probe rows would all land
-    in one bucket now splits across ``salt`` of them — the skew-mitigation
-    pattern for power-law join keys, at the cost of build-side ×salt
-    replication.  Output (and SQL oracle) identical to
-    ``orders_lineitem_join``."""
+    (lineitem) spreads each key over ``salt`` sub-keys via a deterministic
+    row hash, and the build side (orders) replicates each row into all
+    ``salt`` sub-keys; the exchange sorts on ``(key, salt)``.  A key whose
+    probe rows would all land in one block now splits across ``salt``
+    sort groups — the skew-mitigation pattern for power-law join keys, at
+    the cost of build-side ×salt replication.  Output (and SQL oracle)
+    identical to ``orders_lineitem_join``."""
     ensure_picklable()
-    from ray.data.aggregate import Sum
 
-    orders = read_table(sf_dir, "orders", columns=["o_orderkey", "o_orderpriority"])
-    lineitem = read_table(sf_dir, "lineitem", columns=["l_orderkey", "l_quantity", "l_linenumber"])
+    orders = read_table(sf_dir, "orders", columns=list(_ORDERS))
+    lineitem = read_table(sf_dir, "lineitem", columns=[*_LINES, "l_linenumber"])
 
-    def tag_orders(df: pd.DataFrame) -> pd.DataFrame:
-        # build side: replicate into every salt sub-bucket of its key
-        n = len(df)
-        key = np.repeat(df["o_orderkey"].to_numpy().astype("int64"), salt)
-        sub = np.tile(np.arange(salt, dtype=np.int64), n)
-        return pd.DataFrame(
-            {
-                "key": key,
-                "bucket": (key % JOIN_BUCKETS) * salt + sub,
-                "side": "o",
-                "priority": np.repeat(df["o_orderpriority"].to_numpy(), salt),
-                "qty": 0.0,
-            }
-        )
+    def orders_side(df: pd.DataFrame) -> pd.DataFrame:
+        # build side: replicate into every salt sub-key of its key
+        out = df.loc[df.index.repeat(salt)]
+        return out.assign(salt=np.tile(np.arange(salt, dtype=np.int64), len(df)))
 
-    def tag_lineitem(df: pd.DataFrame) -> pd.DataFrame:
+    def lineitem_side(df: pd.DataFrame) -> pd.DataFrame:
         # probe side: deterministic per-row salt (NOT derived from the key,
         # so a hot key's rows spread evenly)
-        key = df["l_orderkey"].astype("int64")
-        row_salt = (df["l_linenumber"].astype("int64") * 2654435761) % salt
-        return pd.DataFrame(
+        return df.assign(salt=(df["l_linenumber"].astype("int64") * 2654435761) % salt)
+
+    return _sum_priority_partials(
+        copartition(
             {
-                "key": key,
-                "bucket": (key % JOIN_BUCKETS) * salt + row_salt,
-                "side": "l",
-                "priority": "",
-                "qty": df["l_quantity"].astype("float64"),
-            }
+                "o": (orders.map_batches(orders_side, batch_format="pandas"),
+                      ["o_orderkey", "salt"], {**_ORDERS, "salt": "int64"}),
+                "l": (lineitem.map_batches(lineitem_side, batch_format="pandas"),
+                      ["l_orderkey", "salt"], {**_LINES, "salt": "int64"}),
+            },
+            lambda p: _priority_partials(p, ("salt",)),
         )
-
-    both = orders.map_batches(tag_orders, batch_format="pandas").union(
-        lineitem.map_batches(tag_lineitem, batch_format="pandas")
     )
-
-    def join_bucket(df: pd.DataFrame) -> pd.DataFrame:
-        o = df[df["side"] == "o"][["key", "priority"]]
-        li = df[df["side"] == "l"][["key", "qty"]]
-        if len(o) == 0 or len(li) == 0:
-            return pd.DataFrame(
-                {"priority": pd.Series([], dtype="object"),
-                 "part_n": pd.Series([], dtype="int64"),
-                 "part_qty": pd.Series([], dtype="float64")}
-            )
-        j = li.merge(o, on="key", how="inner")
-        g = j.groupby("priority", sort=True).agg(part_n=("qty", "size"), part_qty=("qty", "sum"))
-        return g.reset_index()
-
-    partials = grouped_block_map(both, ["bucket"], join_bucket)
-    agg = partials.groupby("priority").aggregate(
-        Sum("part_n", alias_name="n_items"), Sum("part_qty", alias_name="qty_raw")
-    )
-
-    def finish(df: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame(
-            {
-                "o_orderpriority": df["priority"],
-                "n_items": df["n_items"].astype("int64"),
-                "sum_qty": df["qty_raw"].round(0).astype("int64"),
-            }
-        )
-
-    return agg.map_batches(finish, batch_format="pandas")
 
 
 RANGE_JOIN_WINDOW_US = 7 * 24 * 3600 * 1_000_000  # 7 days
+
+
+def _event_order_sides(sf_dir: str, salt: int) -> dict:
+    """Events and orders as ``copartition`` sides on (customer, salt): each
+    event takes a deterministic row salt (NOT derived from the key, so a hot
+    customer's events spread over ``salt`` sort groups) and each order is
+    replicated into every salt of its customer, so every (customer, salt)
+    group still holds the customer's FULL order set.  Events key on
+    ``user_id + 1`` (events.user_id is 0-based, customers 1-based)."""
+    events = read_table(sf_dir, "events", columns=["event_id", "user_id", "ts"])
+    orders = read_table(sf_dir, "orders", columns=["o_custkey", "o_orderdate"])
+
+    def events_side(df: pd.DataFrame) -> pd.DataFrame:
+        return pd.DataFrame(
+            {
+                "key": df["user_id"] + 1,
+                "salt": (df["event_id"].astype("int64") * 2654435761) % salt,
+                "event_id": df["event_id"],
+                "ts_us": df["ts"].astype("datetime64[us]").astype("int64"),
+            }
+        )
+
+    def orders_side(df: pd.DataFrame) -> pd.DataFrame:
+        ts = df["o_orderdate"].astype("datetime64[us]").astype("int64").to_numpy()
+        return pd.DataFrame(
+            {
+                "key": np.repeat(df["o_custkey"].to_numpy(), salt),
+                "salt": np.tile(np.arange(salt, dtype=np.int64), len(df)),
+                "ts_us": np.repeat(ts, salt),
+            }
+        )
+
+    keys = {"key": "int64", "salt": "int64", "ts_us": "int64"}
+    return {
+        "e": (events.map_batches(events_side, batch_format="pandas"), ["key", "salt"],
+              {**keys, "event_id": "int64"}),
+        "o": (orders.map_batches(orders_side, batch_format="pandas"), ["key", "salt"], keys),
+    }
 
 
 def events_orders_range_join(sf_dir: str, *, salt: int = 1) -> ray.data.Dataset:
@@ -180,158 +156,71 @@ def events_orders_range_join(sf_dir: str, *, salt: int = 1) -> ray.data.Dataset:
     same customer's orders inside the trailing 7-day window
     (o_orderdate ∈ [ts − 7d, ts]).
 
-    Shape: bucket both sides by the equality key (customer), per bucket
-    sort the orders once and answer every event with two vectorized
-    ``searchsorted`` probes — O((E+O)·log O) per bucket, never the E×O
-    interval cross product.  Inequality-bounded joins are not expressible
-    as a plain hash join; this is the composition pattern (equality
-    co-partition + per-bucket interval scan) the engine uses for them.
+    Shape: co-partition both sides on the equality key (customer,
+    ``util.copartition``), then per block rank each customer's orders by
+    time and answer every event with two vectorized backward as-of probes
+    (``pd.merge_asof`` by customer: the last order at-or-before ts and the
+    last one before ts − 7d; their rank difference is the count) —
+    O((E+O)·log) per block, never the E×O interval cross product.
+    Inequality-bounded joins are not expressible as a plain hash join;
+    this is the composition pattern (equality co-partition + in-block
+    interval scan) the engine uses for them.
 
-    ``salt > 1``: HOT-KEY mode (same composition as
-    ``orders_lineitem_join_salted``) — events spread over ``salt``
-    sub-buckets of their key by a deterministic row hash; each key's
-    orders replicate into every sub-bucket, so every sub-bucket still
-    holds the key's FULL order state and per-event answers are unchanged.
-    A customer with 100× the events no longer pins one group."""
+    ``salt > 1``: HOT-KEY mode (``_event_order_sides``): a customer with
+    100× the events no longer pins one sort group, and per-event answers
+    are unchanged."""
     ensure_picklable()
-    import numpy as np
+    by = ["key", "salt"]
 
-    events = read_table(sf_dir, "events", columns=["event_id", "user_id", "ts"])
-    orders = read_table(sf_dir, "orders", columns=["o_custkey", "o_orderdate"])
-
-    def tag_events(df: pd.DataFrame) -> pd.DataFrame:
-        key = (df["user_id"] + 1).astype("int64")
-        sub = (df["event_id"].astype("int64") * 2654435761) % salt
-        return pd.DataFrame(
-            {
-                "key": key * salt + sub,
-                "side": "e",
-                "event_id": df["event_id"].astype("int64"),
-                "ts_us": df["ts"].astype("datetime64[us]").astype("int64"),
-            }
+    def range_block(p: dict) -> pd.DataFrame:
+        od = p["o"].sort_values(by + ["ts_us"], kind="mergesort")
+        od["rank"] = od.groupby(by, sort=False).cumcount() + 1
+        od = od.assign(last=od["ts_us"]).sort_values("ts_us", kind="mergesort")
+        ev = p["e"].sort_values("ts_us", kind="mergesort")
+        hi = pd.merge_asof(ev, od, on="ts_us", by=by, direction="backward")
+        lo = pd.merge_asof(
+            ev.assign(ts_us=ev["ts_us"] - RANGE_JOIN_WINDOW_US), od[by + ["ts_us", "rank"]],
+            on="ts_us", by=by, direction="backward", allow_exact_matches=False,
         )
-
-    def tag_orders(df: pd.DataFrame) -> pd.DataFrame:
-        n = len(df)
-        key = np.repeat(df["o_custkey"].to_numpy().astype("int64"), salt)
-        sub = np.tile(np.arange(salt, dtype=np.int64), n)
-        ts = np.repeat(
-            df["o_orderdate"].astype("datetime64[us]").astype("int64").to_numpy(), salt
-        )
-        return pd.DataFrame(
-            {
-                "key": key * salt + sub,
-                "side": "o",
-                "event_id": np.int64(-1),
-                "ts_us": ts,
-            }
-        )
-
-    both = events.map_batches(tag_events, batch_format="pandas").union(
-        orders.map_batches(tag_orders, batch_format="pandas")
-    )
-
-    def range_key(df: pd.DataFrame) -> pd.DataFrame:
-        ev = df[df["side"] == "e"]
-        empty = pd.DataFrame(
-            {"event_id": pd.Series([], dtype="int64"),
-             "n_orders_7d": pd.Series([], dtype="int64"),
-             "last_order_ts_us": pd.Series([], dtype="int64")}
-        )
-        if len(ev) == 0:
-            return empty
-        od_ts = np.sort(df.loc[df["side"] == "o", "ts_us"].to_numpy())
-        ev_ts = ev["ts_us"].to_numpy()
-        hi = np.searchsorted(od_ts, ev_ts, side="right")
-        lo = np.searchsorted(od_ts, ev_ts - RANGE_JOIN_WINDOW_US, side="left")
-        n = (hi - lo).astype("int64")
+        n = (hi["rank"].fillna(0) - lo["rank"].fillna(0)).to_numpy(dtype=np.int64)
         # -1 sentinel for "no order in window" (keeps the column
-        # non-nullable int64 → bit-exact under the driver's normalize).
-        # Index od_ts only where hi > lo: a key with events but zero
-        # orders (LEFT-JOIN semantics) must not fancy-index an empty array.
-        last = np.full(len(ev_ts), -1, dtype="int64")
-        has = hi > lo
-        if has.any():
-            last[has] = od_ts[hi[has] - 1]
+        # non-nullable int64 → bit-exact under the driver's normalize)
+        last = np.where(n > 0, hi["last"].fillna(-1).to_numpy(), -1).astype(np.int64)
         return pd.DataFrame(
-            {"event_id": ev["event_id"].to_numpy(), "n_orders_7d": n,
+            {"event_id": hi["event_id"].to_numpy(np.int64), "n_orders_7d": n,
              "last_order_ts_us": last}
         )
 
-    return grouped_block_map(both, ["key"], range_key)
+    return copartition(_event_order_sides(sf_dir, salt), range_block)
 
 
 def events_asof_order(sf_dir: str, *, salt: int = 1) -> ray.data.Dataset:
     """AS-OF join: each event → most recent order at-or-before its ts for
-    customer ``user_id + 1`` (events.user_id is 0-based, customers 1-based).
+    customer ``user_id + 1`` — one co-partition on the customer, then one
+    vectorized ``pd.merge_asof`` by customer per block.
 
     Output (event_id, order_ts_us BIGINT nullable) — epoch integers so the
     DuckDB ``ASOF JOIN`` oracle matches exactly.
 
-    ``salt > 1``: HOT-KEY mode — events salted over sub-buckets, each
-    key's orders replicated per sub-bucket (the as-of answer depends only
-    on the key's full time-sorted order set, which every sub-bucket
-    carries, so results are identical).
+    ``salt > 1``: HOT-KEY mode (``_event_order_sides``; the as-of answer
+    depends only on the key's full time-sorted order set, which every
+    salt group carries, so results are identical).
     """
     ensure_picklable()
-    import numpy as np
 
-    events = read_table(sf_dir, "events", columns=["event_id", "user_id", "ts"])
-    orders = read_table(sf_dir, "orders", columns=["o_custkey", "o_orderdate"])
-
-    def tag_events(df: pd.DataFrame) -> pd.DataFrame:
-        key = (df["user_id"] + 1).astype("int64")
-        sub = (df["event_id"].astype("int64") * 2654435761) % salt
-        return pd.DataFrame(
-            {
-                "key": key * salt + sub,
-                "side": "e",
-                "event_id": df["event_id"].astype("int64"),
-                "ts_us": df["ts"].astype("datetime64[us]").astype("int64"),
-            }
-        )
-
-    def tag_orders(df: pd.DataFrame) -> pd.DataFrame:
-        n = len(df)
-        key = np.repeat(df["o_custkey"].to_numpy().astype("int64"), salt)
-        sub = np.tile(np.arange(salt, dtype=np.int64), n)
-        ts = np.repeat(
-            df["o_orderdate"].astype("datetime64[us]").astype("int64").to_numpy(), salt
-        )
-        return pd.DataFrame(
-            {
-                "key": key * salt + sub,
-                "side": "o",
-                "event_id": np.int64(-1),
-                "ts_us": ts,
-            }
-        )
-
-    both = events.map_batches(tag_events, batch_format="pandas").union(
-        orders.map_batches(tag_orders, batch_format="pandas")
-    )
-
-    def asof_key(df: pd.DataFrame) -> pd.DataFrame:
-        ev = df[df["side"] == "e"].sort_values("ts_us", kind="mergesort")
-        od = df[df["side"] == "o"].sort_values("ts_us", kind="mergesort")
-        if len(ev) == 0:
-            return pd.DataFrame(
-                {"event_id": pd.Series([], dtype="int64"),
-                 "order_ts_us": pd.Series([], dtype="Int64")}
-            )
-        if len(od) == 0:
-            return pd.DataFrame(
-                {"event_id": ev["event_id"].to_numpy(), "order_ts_us": pd.array([None] * len(ev), dtype="Int64")}
-            )
+    def asof_block(p: dict) -> pd.DataFrame:
+        od = p["o"].sort_values("ts_us", kind="mergesort")
         j = pd.merge_asof(
-            ev[["event_id", "ts_us"]], od[["ts_us"]].assign(order_ts_us=od["ts_us"].to_numpy()),
-            on="ts_us", direction="backward",
+            p["e"].sort_values("ts_us", kind="mergesort"),
+            od.assign(order_ts_us=od["ts_us"]),
+            on="ts_us", by=["key", "salt"], direction="backward",
         )
         return pd.DataFrame(
-            {"event_id": j["event_id"].to_numpy(), "order_ts_us": j["order_ts_us"].astype("Int64")}
+            {"event_id": j["event_id"].to_numpy(np.int64),
+             "order_ts_us": j["order_ts_us"].astype("Int64")}
         )
 
-    return grouped_block_map(both, ["key"], asof_key)
+    return copartition(_event_order_sides(sf_dir, salt), asof_block)
 
 
 _BIG_ORDER_MIN = 300_000.0
@@ -347,8 +236,8 @@ def customer_big_orders_left_join(sf_dir: str) -> ray.data.Dataset:
     Scale plan: the order side is row-filtered AT THE READ (pyarrow
     predicate pushdown — non-qualifying row groups never leave storage)
     and per-batch count-combined to one (custkey, n) row per batch;
-    both sides co-partition on ``custkey % JOIN_BUCKETS`` — one grouped
-    exchange; each bucket does a vectorized left merge with zero-fill;
+    both sides co-partition on custkey (``util.copartition``) — one sort
+    exchange; each block does a vectorized left merge with zero-fill;
     segment partials fold in a 5-row final groupby.  Output:
     (c_mktsegment, n_customers, n_no_big, n_big_orders).
     """
@@ -362,58 +251,31 @@ def customer_big_orders_left_join(sf_dir: str) -> ray.data.Dataset:
         filter_expr=(pads.field("o_totalprice") > _BIG_ORDER_MIN),
     )
 
-    def tag_cust(df: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame(
-            {
-                "key": df["c_custkey"].astype("int64"),
-                "bucket": (df["c_custkey"] % JOIN_BUCKETS).astype("int64"),
-                "side": "c",
-                "segment": df["c_mktsegment"],
-                "cnt": np.zeros(len(df), dtype=np.int64),
-            }
-        )
-
-    def tag_orders(df: pd.DataFrame) -> pd.DataFrame:
+    def order_counts(df: pd.DataFrame) -> pd.DataFrame:
         # batch-local combiner: one (custkey, count) row per batch
-        g = df.groupby("o_custkey", sort=False).size().reset_index(name="cnt")
-        return pd.DataFrame(
-            {
-                "key": g["o_custkey"].astype("int64"),
-                "bucket": (g["o_custkey"] % JOIN_BUCKETS).astype("int64"),
-                "side": "o",
-                "segment": "",
-                "cnt": g["cnt"].astype("int64"),
-            }
-        )
+        return df.groupby("o_custkey", sort=False).size().reset_index(name="cnt")
 
-    both = cust.map_batches(tag_cust, batch_format="pandas").union(
-        big.map_batches(tag_orders, batch_format="pandas")
-    )
-
-    def join_bucket(df: pd.DataFrame) -> pd.DataFrame:
-        c = df[df["side"] == "c"][["key", "segment"]]
-        if len(c) == 0:
-            return pd.DataFrame(
-                {"segment": pd.Series([], dtype="object"),
-                 "p_cust": pd.Series([], dtype="int64"),
-                 "p_nobig": pd.Series([], dtype="int64"),
-                 "p_orders": pd.Series([], dtype="int64")}
-            )
-        o = (
-            df[df["side"] == "o"]
-            .groupby("key", as_index=False, sort=False)["cnt"]
-            .sum()
-        )
-        j = c.merge(o, on="key", how="left")  # LEFT: unmatched keep NaN
-        j["cnt"] = j["cnt"].fillna(0).astype("int64")
-        g = j.groupby("segment", sort=False).agg(
+    def join_block(p: dict) -> pd.DataFrame:
+        o = p["o"].groupby("o_custkey", as_index=False, sort=False)["cnt"].sum()
+        j = p["c"].merge(o, left_on="c_custkey", right_on="o_custkey", how="left")
+        j["cnt"] = j["cnt"].fillna(0).astype("int64")  # LEFT: unmatched → 0
+        g = j.groupby("c_mktsegment", as_index=False, sort=False).agg(
             p_cust=("cnt", "size"),
             p_nobig=("cnt", lambda s: int((s == 0).sum())),
             p_orders=("cnt", "sum"),
         )
-        return g.reset_index()
+        return g.rename(columns={"c_mktsegment": "segment"}).astype(
+            {"p_cust": "int64", "p_nobig": "int64", "p_orders": "int64"}
+        )
 
-    partials = grouped_block_map(both, ["bucket"], join_bucket)
+    partials = copartition(
+        {
+            "c": (cust, ["c_custkey"], {"c_custkey": "int64", "c_mktsegment": "object"}),
+            "o": (big.map_batches(order_counts, batch_format="pandas"), ["o_custkey"],
+                  {"o_custkey": "int64", "cnt": "int64"}),
+        },
+        join_block,
+    )
     agg = partials.groupby("segment").aggregate(
         Sum("p_cust", alias_name="n_customers"),
         Sum("p_nobig", alias_name="n_no_big"),
@@ -450,7 +312,7 @@ def sql_customer_big_orders_left_join() -> str:
 # Multi-way joins (round 5): TPC-H Q3/Q5-shaped pipelines — the two classic
 # shapes the two-table family above doesn't cover: a 3-way join with global
 # top-k selection, and a 6-table star join mixing broadcast dimensions with
-# two bucketed fact exchanges.
+# two co-partitioned fact exchanges.
 # ---------------------------------------------------------------------------
 
 _Q3_SEGMENT = "BUILDING"
@@ -470,10 +332,10 @@ def top_orders_q3(sf_dir: str) -> ray.data.Dataset:
       becomes the Bloom-screen variant used by ``bloom_screen``, trading
       exactness of the semi-join for a fixed-size bitmap + exact verify).
     - lineitem revenue is per-batch combined to (orderkey, partial_rev)
-      before the one grouped exchange on ``orderkey % JOIN_BUCKETS``.
-    - Each bucket emits only its LOCAL top-10 (revenue is complete within
-      a bucket since buckets partition orderkeys), so the final global
-      sort+limit runs over ≤ 10·JOIN_BUCKETS rows — dataset-resident.
+      before the one orderkey co-partition exchange (``util.copartition``).
+    - Each block emits only its LOCAL top-10 (revenue is complete within
+      a block, since the sort co-locates every orderkey), so the final
+      global sort+limit runs over ≤ 10 rows per block — dataset-resident.
 
     Output: (o_orderkey, revenue, o_orderdate, o_orderpriority), the
     exact 10 rows of the SQL oracle (revenue rounded to cents before the
@@ -506,7 +368,7 @@ def top_orders_q3(sf_dir: str) -> ray.data.Dataset:
         filter_expr=(pads.field("l_shipdate") > cutoff.to_pydatetime()),
     )
 
-    def tag_orders(df: pd.DataFrame) -> pd.DataFrame:
+    def orders_side(df: pd.DataFrame) -> pd.DataFrame:
         ck = ray.get(keys_ref)
         v = df["o_custkey"].to_numpy(dtype=np.int64)
         if len(ck) == 0:
@@ -514,75 +376,38 @@ def top_orders_q3(sf_dir: str) -> ray.data.Dataset:
         else:
             pos = np.searchsorted(ck, v)
             member = (pos < len(ck)) & (ck[np.minimum(pos, len(ck) - 1)] == v)
-        sel = df[member]
-        return pd.DataFrame(
-            {
-                "key": sel["o_orderkey"].astype("int64"),
-                "bucket": (sel["o_orderkey"] % JOIN_BUCKETS).astype("int64"),
-                "side": "o",
-                "odate": sel["o_orderdate"],
-                "priority": sel["o_orderpriority"],
-                "rev": np.zeros(len(sel), dtype=np.float64),
-            }
-        )
+        return df[member]
 
-    def tag_lineitem(df: pd.DataFrame) -> pd.DataFrame:
+    def revenue_partials(df: pd.DataFrame) -> pd.DataFrame:
         rev = df["l_extendedprice"].to_numpy() * (1.0 - df["l_discount"].to_numpy())
-        g = (
-            pd.DataFrame({"key": df["l_orderkey"].astype("int64"), "rev": rev})
-            .groupby("key", as_index=False, sort=False)["rev"]
+        return (
+            pd.DataFrame({"o_orderkey": df["l_orderkey"], "rev": rev})
+            .groupby("o_orderkey", as_index=False, sort=False)["rev"]
             .sum()
         )
-        return pd.DataFrame(
-            {
-                "key": g["key"],
-                "bucket": (g["key"] % JOIN_BUCKETS).astype("int64"),
-                "side": "l",
-                "odate": pd.Series([pd.NaT] * len(g), dtype="datetime64[us]"),
-                "priority": "",
-                "rev": g["rev"].astype("float64"),
-            }
-        )
 
-    both = orders.map_batches(tag_orders, batch_format="pandas").union(
-        lineitem.map_batches(tag_lineitem, batch_format="pandas")
-    )
-
-    def join_bucket(df: pd.DataFrame) -> pd.DataFrame:
-        empty = pd.DataFrame(
-            {
-                "o_orderkey": pd.Series([], dtype="int64"),
-                "revenue": pd.Series([], dtype="float64"),
-                "o_orderdate": pd.Series([], dtype="datetime64[us]"),
-                "o_orderpriority": pd.Series([], dtype="object"),
-            }
-        )
-        o = df[df["side"] == "o"]
-        if len(o) == 0:
-            return empty
-        l = (
-            df[df["side"] == "l"]
-            .groupby("key", as_index=False, sort=False)["rev"]
-            .sum()
-        )
-        j = o[["key", "odate", "priority"]].merge(l, on="key", how="inner")
-        if len(j) == 0:
-            return empty
-        j["rev"] = j["rev"].round(2)
+    def join_block(p: dict) -> pd.DataFrame:
+        rev = p["l"].groupby("o_orderkey", as_index=False, sort=False)["rev"].sum()
+        j = p["o"].merge(rev, on="o_orderkey", how="inner")
+        j["revenue"] = j.pop("rev").round(2)
         j = j.sort_values(
-            ["rev", "odate", "key"], ascending=[False, True, True], kind="mergesort"
+            ["revenue", "o_orderdate", "o_orderkey"], ascending=[False, True, True],
+            kind="mergesort",
         ).head(10)
-        return pd.DataFrame(
-            {
-                "o_orderkey": j["key"].to_numpy(dtype=np.int64),
-                "revenue": j["rev"].to_numpy(),
-                "o_orderdate": j["odate"].astype("datetime64[us]"),
-                "o_orderpriority": j["priority"].to_numpy(dtype=object),
-            }
-        )
+        j = j[["o_orderkey", "revenue", "o_orderdate", "o_orderpriority"]]
+        return j.astype({"o_orderdate": "datetime64[us]"})
 
-    partials = grouped_block_map(both, ["bucket"], join_bucket)
-    # ≤ 10·JOIN_BUCKETS candidate rows — the global sort is trivially small.
+    partials = copartition(
+        {
+            "o": (orders.map_batches(orders_side, batch_format="pandas"), ["o_orderkey"],
+                  {"o_orderkey": "int64", "o_orderdate": "datetime64[us]",
+                   "o_orderpriority": "object"}),
+            "l": (lineitem.map_batches(revenue_partials, batch_format="pandas"),
+                  ["o_orderkey"], {"o_orderkey": "int64", "rev": "float64"}),
+        },
+        join_block,
+    )
+    # ≤ 10 candidate rows per block — the global sort is trivially small.
     return partials.sort(
         ["revenue", "o_orderdate", "o_orderkey"], descending=[True, False, False]
     ).limit(10)
@@ -601,6 +426,59 @@ def sql_top_orders_q3() -> str:
         f"AND l.l_shipdate > TIMESTAMP '{_Q3_CUTOFF}' "
         "GROUP BY o.o_orderkey, o.o_orderdate, o.o_orderpriority "
         "ORDER BY revenue DESC, o.o_orderdate, o.o_orderkey LIMIT 10"
+    )
+
+
+def _supplier_nation(df: pd.DataFrame, sup_ref) -> pd.DataFrame:
+    """The lineitem rows of ``df`` whose supplier is in the broadcast sorted
+    (suppkey, nationkey) arrays, with a ``nat`` column attached."""
+    skeys, snats = ray.get(sup_ref)
+    v = df["l_suppkey"].to_numpy(dtype=np.int64)
+    if len(skeys) == 0:
+        return df.iloc[0:0].assign(nat=np.zeros(0, dtype=np.int64))
+    pos = np.searchsorted(skeys, v)
+    hit = (pos < len(skeys)) & (skeys[np.minimum(pos, len(skeys) - 1)] == v)
+    return df[hit].assign(nat=snats[pos[hit]])
+
+
+def _order_nations(
+    cust: ray.data.Dataset, orders: ray.data.Dataset, broadcast: bool
+) -> ray.data.Dataset:
+    """(o_orderkey, c_nat) for every order whose customer is in ``cust``
+    (c_custkey, c_nationkey).  ``broadcast`` (the caller's distributed
+    customer count is under its limit): the (custkey, nationkey) pairs ship
+    once via ``ray.put`` and every orders batch attaches them — zero
+    exchange.  Otherwise one custkey co-partition (``util.copartition``)."""
+    if broadcast:
+        cdf = cust.to_pandas()  # bound proven by the caller's count
+        ckeys = cdf["c_custkey"].to_numpy(dtype=np.int64)
+        corder = np.argsort(ckeys)
+        c_ref = ray.put(
+            (ckeys[corder], cdf["c_nationkey"].to_numpy(dtype=np.int64)[corder])
+        )
+
+        def attach(df: pd.DataFrame) -> pd.DataFrame:
+            keys, nats = ray.get(c_ref)
+            v = df["o_custkey"].to_numpy(dtype=np.int64)
+            okey = df["o_orderkey"].to_numpy(dtype=np.int64)
+            if len(keys) == 0:
+                return pd.DataFrame({"o_orderkey": okey[:0], "c_nat": nats})
+            pos = np.searchsorted(keys, v)
+            hit = (pos < len(keys)) & (keys[np.minimum(pos, len(keys) - 1)] == v)
+            return pd.DataFrame({"o_orderkey": okey[hit], "c_nat": nats[pos[hit]]})
+
+        return orders.map_batches(attach, batch_format="pandas")
+
+    def join_cust(p: dict) -> pd.DataFrame:
+        j = p["o"].merge(p["c"], left_on="o_custkey", right_on="c_custkey")
+        return j[["o_orderkey", "c_nationkey"]].rename(columns={"c_nationkey": "c_nat"})
+
+    return copartition(
+        {
+            "c": (cust, ["c_custkey"], {"c_custkey": "int64", "c_nationkey": "int64"}),
+            "o": (orders, ["o_custkey"], {"o_custkey": "int64", "o_orderkey": "int64"}),
+        },
+        join_cust,
     )
 
 
@@ -629,16 +507,16 @@ def regional_revenue_q5(
       first (one pruned 2-column scan); under ``broadcast_limit`` the
       (custkey, nationkey) pairs ship once via ``ray.put`` (sorted arrays
       + searchsorted) and the orders scan attaches the customer nation
-      per batch — zero exchange.  Above the limit, exchange 1 bucket
-      co-partitions orders+customer on ``custkey % JOIN_BUCKETS``
-      (forced in tests; plans pinned identical).
+      per batch — zero exchange.  Above the limit, exchange 1
+      co-partitions orders+customer on custkey (``_order_nations``;
+      forced in tests; plans pinned identical).
     - lineitem maps supplier→nation per batch (region misses dropped
       immediately) and per-batch combines to (orderkey, s_nation,
       partial_rev, partial_n).
-    - Exchange 2 co-partitions on ``orderkey % JOIN_BUCKETS``, joins, keeps
-      rows with customer_nation == supplier_nation, folds per-nation
-      partials inside each bucket — ≤ |region nations| rows per block.
-    - The final fold is BOUNDED (≤ 25 nations × buckets partial rows), so
+    - Exchange 2 co-partitions on orderkey (``util.copartition``), joins,
+      keeps rows with customer_nation == supplier_nation, folds per-nation
+      partials inside each block — ≤ |region nations| rows per block.
+    - The final fold is BOUNDED (≤ 25 nations × blocks partial rows), so
       it is a single ``repartition(1)`` merge + in-block groupby, not a
       sorted aggregate exchange (a 192-partition groupby over ~150 rows
       measured 1.9 s of pure task overhead).
@@ -698,144 +576,42 @@ def regional_revenue_q5(
                 }
             )
         )
-    if n_cust <= broadcast_limit:
-        # ---- Plan A: broadcast the (custkey → nationkey) pairs once ----
-        cdf = cust.to_pandas()  # bound proven ≤ broadcast_limit rows
-        ckeys = cdf["c_custkey"].to_numpy(dtype=np.int64)
-        cnats = cdf["c_nationkey"].to_numpy(dtype=np.int64)
-        corder = np.argsort(ckeys)
-        c_ref = ray.put((ckeys[corder], cnats[corder]))
-
-        def attach_cust_nat(df: pd.DataFrame) -> pd.DataFrame:
-            keys, nats = ray.get(c_ref)
-            v = df["o_custkey"].to_numpy(dtype=np.int64)
-            if len(keys) == 0:
-                hit = np.zeros(len(v), dtype=bool)
-                pos = hit.astype(np.int64)
-            else:
-                pos = np.searchsorted(keys, v)
-                hit = (pos < len(keys)) & (keys[np.minimum(pos, len(keys) - 1)] == v)
-            okey = df["o_orderkey"].to_numpy(dtype=np.int64)[hit]
-            return pd.DataFrame(
-                {
-                    "key": okey,
-                    "bucket": okey % JOIN_BUCKETS,
-                    "side": "o",
-                    "nat": nats[pos[hit]] if len(keys) else np.zeros(0, dtype=np.int64),
-                    "rev": np.zeros(len(okey), dtype=np.float64),
-                    "n": np.zeros(len(okey), dtype=np.int64),
-                }
-            )
-
-        orders_nat = orders.map_batches(attach_cust_nat, batch_format="pandas")
-    else:
-        # ---- Plan B: bucket co-partitioned exchange (forced in tests) ----
-        def tag_cust(df: pd.DataFrame) -> pd.DataFrame:
-            return pd.DataFrame(
-                {
-                    "key": df["c_custkey"].astype("int64"),
-                    "bucket": (df["c_custkey"] % JOIN_BUCKETS).astype("int64"),
-                    "side": "c",
-                    "val": df["c_nationkey"].astype("int64"),
-                }
-            )
-
-        def tag_orders(df: pd.DataFrame) -> pd.DataFrame:
-            return pd.DataFrame(
-                {
-                    "key": df["o_custkey"].astype("int64"),
-                    "bucket": (df["o_custkey"] % JOIN_BUCKETS).astype("int64"),
-                    "side": "o",
-                    "val": df["o_orderkey"].astype("int64"),
-                }
-            )
-
-        stage1 = cust.map_batches(tag_cust, batch_format="pandas").union(
-            orders.map_batches(tag_orders, batch_format="pandas")
-        )
-
-        def join_cust(df: pd.DataFrame) -> pd.DataFrame:
-            c = df[df["side"] == "c"][["key", "val"]].rename(columns={"val": "c_nat"})
-            o = df[df["side"] == "o"][["key", "val"]].rename(columns={"val": "okey"})
-            j = o.merge(c, on="key", how="inner")
-            return pd.DataFrame(
-                {
-                    "key": j["okey"].to_numpy(dtype=np.int64),
-                    "bucket": (j["okey"] % JOIN_BUCKETS).to_numpy(dtype=np.int64),
-                    "side": "o",
-                    "nat": j["c_nat"].to_numpy(dtype=np.int64),
-                    "rev": np.zeros(len(j), dtype=np.float64),
-                    "n": np.zeros(len(j), dtype=np.int64),
-                }
-            )
-
-        orders_nat = grouped_block_map(stage1, ["bucket"], join_cust)
+    orders_nat = _order_nations(cust, orders, n_cust <= broadcast_limit)
 
     lineitem = read_table(
         sf_dir, "lineitem",
         columns=["l_orderkey", "l_suppkey", "l_extendedprice", "l_discount"],
     )
 
-    def tag_lineitem(df: pd.DataFrame) -> pd.DataFrame:
-        skeys, snats = ray.get(sup_ref)
-        v = df["l_suppkey"].to_numpy(dtype=np.int64)
-        if len(skeys) == 0:
-            hit = np.zeros(len(v), dtype=bool)
-            pos = hit.astype(np.int64)
-        else:
-            pos = np.searchsorted(skeys, v)
-            hit = (pos < len(skeys)) & (skeys[np.minimum(pos, len(skeys) - 1)] == v)
-        sel = df[hit].copy()
-        sel["nat"] = snats[pos[hit]] if len(skeys) else np.zeros(0, dtype=np.int64)
+    def line_partials(df: pd.DataFrame) -> pd.DataFrame:
+        sel = _supplier_nation(df, sup_ref)
         sel["rev"] = sel["l_extendedprice"].to_numpy() * (
             1.0 - sel["l_discount"].to_numpy()
         )
-        g = sel.groupby(["l_orderkey", "nat"], as_index=False, sort=False).agg(
+        return sel.groupby(["l_orderkey", "nat"], as_index=False, sort=False).agg(
             rev=("rev", "sum"), n=("rev", "size")
-        )
-        return pd.DataFrame(
-            {
-                "key": g["l_orderkey"].astype("int64"),
-                "bucket": (g["l_orderkey"] % JOIN_BUCKETS).astype("int64"),
-                "side": "l",
-                "nat": g["nat"].astype("int64"),
-                "rev": g["rev"].astype("float64"),
-                "n": g["n"].astype("int64"),
-            }
-        )
+        ).rename(columns={"l_orderkey": "o_orderkey"})
 
-    stage2 = orders_nat.union(lineitem.map_batches(tag_lineitem, batch_format="pandas"))
-
-    def join_line(df: pd.DataFrame) -> pd.DataFrame:
-        empty = pd.DataFrame(
-            {
-                "nationkey": pd.Series([], dtype="int64"),
-                "p_rev": pd.Series([], dtype="float64"),
-                "p_n": pd.Series([], dtype="int64"),
-            }
-        )
-        o = df[df["side"] == "o"][["key", "nat"]].rename(columns={"nat": "c_nat"})
-        l = df[df["side"] == "l"][["key", "nat", "rev", "n"]]
-        if len(o) == 0 or len(l) == 0:
-            return empty
-        j = l.merge(o, on="key", how="inner")
+    def join_line(p: dict) -> pd.DataFrame:
+        j = p["l"].merge(p["o"], on="o_orderkey", how="inner")
         j = j[j["nat"] == j["c_nat"]]
-        if len(j) == 0:
-            return empty
         g = j.groupby("nat", as_index=False, sort=False).agg(
             p_rev=("rev", "sum"), p_n=("n", "sum")
         )
-        return pd.DataFrame(
-            {
-                "nationkey": g["nat"].to_numpy(dtype=np.int64),
-                "p_rev": g["p_rev"].to_numpy(),
-                "p_n": g["p_n"].to_numpy(dtype=np.int64),
-            }
+        return g.rename(columns={"nat": "nationkey"}).astype(
+            {"nationkey": "int64", "p_rev": "float64", "p_n": "int64"}
         )
 
-    partials = grouped_block_map(stage2, ["bucket"], join_line)
+    partials = copartition(
+        {
+            "o": (orders_nat, ["o_orderkey"], {"o_orderkey": "int64", "c_nat": "int64"}),
+            "l": (lineitem.map_batches(line_partials, batch_format="pandas"), ["o_orderkey"],
+                  {"o_orderkey": "int64", "nat": "int64", "rev": "float64", "n": "int64"}),
+        },
+        join_line,
+    )
 
-    # bounded fold: ≤ |region nations| (≤ 25) partial rows per bucket block,
+    # bounded fold: ≤ |region nations| (≤ 25) partial rows per block,
     # so one repartition(1) merge + in-block groupby replaces a sorted
     # aggregate exchange whose per-partition task overhead dwarfs the data
     def finish(df: pd.DataFrame) -> pd.DataFrame:
@@ -874,6 +650,14 @@ def sql_regional_revenue_q5() -> str:
 
 
 _Q18_MIN_QTY = 250
+_Q18_ORDERS = {
+    "o_orderkey": "int64", "o_custkey": "int64",
+    "o_orderdate": "datetime64[us]", "o_totalprice": "float64",
+}
+_Q18_OUT = {
+    "c_name": "object", "c_custkey": "int64", "o_orderkey": "int64",
+    "o_orderdate": "datetime64[us]", "o_totalprice": "float64", "sum_qty": "int64",
+}
 
 
 def big_order_customers(
@@ -893,10 +677,10 @@ def big_order_customers(
       orders and customer scans filter per batch — zero further
       exchanges.  The matched-orders frame that then broadcasts to the
       customer scan is ≤ the qualifying count by construction.
-    - Plan B (``broadcast_limit`` exceeded; forced in tests): two bucket
-      co-partitioned exchanges — qualifying ⋈ orders on
-      ``orderkey % JOIN_BUCKETS``, the (output-sized) result ⋈ customer
-      on ``custkey % JOIN_BUCKETS`` — never a driver materialization.
+    - Plan B (``broadcast_limit`` exceeded; forced in tests): two
+      co-partitioned exchanges (``util.copartition``) — qualifying ⋈
+      orders on orderkey, the (output-sized) result ⋈ customer on
+      custkey — never a driver materialization.
     Both plans are pinned identical in tests/test_round5.py.
 
     Output: (c_name, c_custkey, o_orderkey, o_orderdate, o_totalprice,
@@ -945,17 +729,9 @@ def big_order_customers(
     if n_qual == 0:
         # empty-shard path: the aggregate of zero rows carries no schema
         return ray.data.from_pandas(
-            pd.DataFrame(
-                {
-                    "c_name": pd.Series([], dtype="object"),
-                    "c_custkey": pd.Series([], dtype="int64"),
-                    "o_orderkey": pd.Series([], dtype="int64"),
-                    "o_orderdate": pd.Series([], dtype="datetime64[us]"),
-                    "o_totalprice": pd.Series([], dtype="float64"),
-                    "sum_qty": pd.Series([], dtype="int64"),
-                }
-            )
+            pd.DataFrame({c: pd.Series([], dtype=t) for c, t in _Q18_OUT.items()})
         )
+    orders = read_table(sf_dir, "orders", columns=list(_Q18_ORDERS))
     if n_qual <= broadcast_limit:
         # ---- Plan A: two broadcast semi-joins, zero further exchanges ----
         qdf = qual.to_pandas()  # bound proven ≤ broadcast_limit rows
@@ -986,10 +762,6 @@ def big_order_customers(
                 }
             )
 
-        orders = read_table(
-            sf_dir, "orders",
-            columns=["o_orderkey", "o_custkey", "o_orderdate", "o_totalprice"],
-        )
         matched = orders.map_batches(match_orders, batch_format="pandas")
         mdf = matched.to_pandas()  # ≤ n_qual rows — output-sized
         m_ref = ray.put(mdf)
@@ -1007,96 +779,33 @@ def big_order_customers(
         customer = read_table(sf_dir, "customer", columns=["c_custkey", "c_name"])
         return customer.map_batches(join_customer, batch_format="pandas")
 
-    # ---- Plan B: bucket co-partitioned exchanges, dataset-resident ----
-    def tag_qual(df: pd.DataFrame) -> pd.DataFrame:
-        key = df["key"].to_numpy(dtype=np.int64)
-        return pd.DataFrame(
-            {
-                "key": key,
-                "bucket": key % JOIN_BUCKETS,
-                "side": "q",
-                "i1": np.round(df["qty"].to_numpy()).astype(np.int64),
-                "f1": np.zeros(len(df)),
-                "t1": pd.Series([pd.NaT] * len(df), dtype="datetime64[us]"),
-                "s1": "",
-            }
-        )
+    # ---- Plan B: two co-partitioned exchanges, dataset-resident ----
 
-    def tag_orders(df: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame(
-            {
-                "key": df["o_orderkey"].astype("int64"),
-                "bucket": (df["o_orderkey"] % JOIN_BUCKETS).astype("int64"),
-                "side": "o",
-                "i1": df["o_custkey"].astype("int64"),
-                "f1": df["o_totalprice"].astype("float64"),
-                "t1": df["o_orderdate"].astype("datetime64[us]"),
-                "s1": "",
-            }
-        )
+    def join_orders(p: dict) -> pd.DataFrame:
+        j = p["o"].merge(p["q"], left_on="o_orderkey", right_on="key")
+        j["sum_qty"] = np.round(j.pop("qty").to_numpy()).astype(np.int64)
+        return j.drop(columns="key")
 
-    orders = read_table(
-        sf_dir, "orders",
-        columns=["o_orderkey", "o_custkey", "o_orderdate", "o_totalprice"],
-    )
-    stage1 = qual.map_batches(tag_qual, batch_format="pandas").union(
-        orders.map_batches(tag_orders, batch_format="pandas")
+    matched = copartition(
+        {
+            "q": (qual, ["key"], {"key": "int64", "qty": "float64"}),
+            "o": (orders, ["o_orderkey"], _Q18_ORDERS),
+        },
+        join_orders,
     )
 
-    def join_orders(df: pd.DataFrame) -> pd.DataFrame:
-        q = df[df["side"] == "q"][["key", "i1"]].rename(columns={"i1": "qty"})
-        o = df[df["side"] == "o"][["key", "i1", "f1", "t1"]].rename(
-            columns={"i1": "custkey", "f1": "price", "t1": "odate"}
-        )
-        j = o.merge(q, on="key", how="inner")
-        return pd.DataFrame(
-            {
-                "key": j["custkey"].to_numpy(dtype=np.int64),
-                "bucket": (j["custkey"] % JOIN_BUCKETS).to_numpy(dtype=np.int64),
-                "side": "m",
-                "i1": j["key"].to_numpy(dtype=np.int64),
-                "i2": j["qty"].to_numpy(dtype=np.int64),
-                "f1": j["price"].to_numpy(),
-                "t1": j["odate"].astype("datetime64[us]"),
-                "s1": "",
-            }
-        )
-
-    matched = grouped_block_map(stage1, ["bucket"], join_orders)
-
-    def tag_customer(df: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame(
-            {
-                "key": df["c_custkey"].astype("int64"),
-                "bucket": (df["c_custkey"] % JOIN_BUCKETS).astype("int64"),
-                "side": "c",
-                "i1": np.zeros(len(df), dtype=np.int64),
-                "i2": np.zeros(len(df), dtype=np.int64),
-                "f1": np.zeros(len(df)),
-                "t1": pd.Series([pd.NaT] * len(df), dtype="datetime64[us]"),
-                "s1": df["c_name"],
-            }
-        )
+    def join_cust(p: dict) -> pd.DataFrame:
+        j = p["m"].merge(p["c"], left_on="o_custkey", right_on="c_custkey")
+        return j[list(_Q18_OUT)].astype(_Q18_OUT)
 
     customer = read_table(sf_dir, "customer", columns=["c_custkey", "c_name"])
-    stage2 = matched.union(customer.map_batches(tag_customer, batch_format="pandas"))
-
-    def join_cust(df: pd.DataFrame) -> pd.DataFrame:
-        m = df[df["side"] == "m"][["key", "i1", "i2", "f1", "t1"]]
-        c = df[df["side"] == "c"][["key", "s1"]]
-        j = m.merge(c, on="key", how="inner")
-        return pd.DataFrame(
-            {
-                "c_name": j["s1"].to_numpy(dtype=object),
-                "c_custkey": j["key"].to_numpy(dtype=np.int64),
-                "o_orderkey": j["i1"].to_numpy(dtype=np.int64),
-                "o_orderdate": j["t1"].astype("datetime64[us]"),
-                "o_totalprice": j["f1"].to_numpy(),
-                "sum_qty": j["i2"].to_numpy(dtype=np.int64),
-            }
-        )
-
-    return grouped_block_map(stage2, ["bucket"], join_cust)
+    return copartition(
+        {
+            "m": (matched, ["o_custkey"], {**_Q18_ORDERS, "sum_qty": "int64"}),
+            "c": (customer, ["c_custkey"], {"c_custkey": "int64", "c_name": "object"}),
+        },
+        join_cust,
+    )
 
 
 def sql_big_order_customers() -> str:
@@ -1185,9 +894,7 @@ def min_price_supplier(sf_dir: str) -> ray.data.Dataset:
     )
     ds = ds.map_batches(partial, batch_format="pandas")
     # sort by EXACTLY the group key (colocation invariant, util.py)
-    return ds.sort(["l_partkey"]).map_batches(
-        fold, batch_format="pandas", batch_size=None
-    )
+    return colocate(ds, ["l_partkey"], fold)
 
 
 def sql_min_price_supplier() -> str:
@@ -1216,11 +923,11 @@ def dormant_customers(
     predicate pushdown — pre-cutoff row groups never leave storage) and
     collapses to per-batch DISTINCT custkeys (id-width rows only — the
     fact table's values never shuffle); both sides co-partition on
-    ``custkey % JOIN_BUCKETS`` in ONE tagged-union grouped exchange;
-    each bucket runs a vectorized ``isin`` anti-filter (every occurrence
-    of a key lands in its bucket, so bucket-local absence IS global
-    absence).  No broadcast, no driver materialization — the bucketed
-    hash-join topology with the probe side reduced to its key set.
+    custkey in ONE sort exchange (``util.copartition``); each block runs
+    a vectorized ``isin`` anti-filter (every occurrence of a key lands in
+    its block, so block-local absence IS global absence).  No broadcast,
+    no driver materialization — the co-partitioned hash-join topology
+    with the probe side reduced to its key set.
 
     Output: (c_custkey, c_name, acctbal_cents), one row per dormant
     customer.
@@ -1237,12 +944,10 @@ def dormant_customers(
         filter_expr=(pads.field("o_orderdate") >= cut.to_datetime64()),
     )
 
-    def tag_cust(df: pd.DataFrame) -> pd.DataFrame:
+    def cust_side(df: pd.DataFrame) -> pd.DataFrame:
         return pd.DataFrame(
             {
-                "key": df["c_custkey"].astype("int64"),
-                "bucket": (df["c_custkey"] % JOIN_BUCKETS).astype("int64"),
-                "side": "c",
+                "c_custkey": df["c_custkey"],
                 "c_name": df["c_name"],
                 "acctbal_cents": np.floor(
                     df["c_acctbal"].to_numpy(dtype="float64") * 100.0 + 0.5
@@ -1250,38 +955,24 @@ def dormant_customers(
             }
         )
 
-    def tag_orders(df: pd.DataFrame) -> pd.DataFrame:
+    def recent_keys(df: pd.DataFrame) -> pd.DataFrame:
         # batch-local combiner: one row per DISTINCT recent custkey
-        k = pd.unique(df["o_custkey"].to_numpy("int64"))
-        return pd.DataFrame(
-            {
-                "key": k,
-                "bucket": (k % JOIN_BUCKETS),
-                "side": "o",
-                "c_name": np.full(len(k), "", dtype=object),
-                "acctbal_cents": np.zeros(len(k), dtype=np.int64),
-            }
-        )
+        return pd.DataFrame({"o_custkey": pd.unique(df["o_custkey"].to_numpy("int64"))})
 
-    tagged = cust.map_batches(
-        tag_cust, batch_format="pandas", batch_size=None
-    ).union(
-        orders.map_batches(tag_orders, batch_format="pandas", batch_size=None)
+    def anti(p: dict) -> pd.DataFrame:
+        c = p["c"]
+        return c[~c["c_custkey"].isin(p["o"]["o_custkey"])]
+
+    return copartition(
+        {
+            "c": (cust.map_batches(cust_side, batch_format="pandas", batch_size=None),
+                  ["c_custkey"],
+                  {"c_custkey": "int64", "c_name": "object", "acctbal_cents": "int64"}),
+            "o": (orders.map_batches(recent_keys, batch_format="pandas", batch_size=None),
+                  ["o_custkey"], {"o_custkey": "int64"}),
+        },
+        anti,
     )
-
-    def anti(g: pd.DataFrame) -> pd.DataFrame:
-        has_recent = g.loc[g["side"] == "o", "key"]
-        c = g[g["side"] == "c"]
-        out = c[~c["key"].isin(has_recent)]
-        return pd.DataFrame(
-            {
-                "c_custkey": out["key"].to_numpy("int64"),
-                "c_name": out["c_name"].to_numpy(dtype=object),
-                "acctbal_cents": out["acctbal_cents"].to_numpy("int64"),
-            }
-        )
-
-    return grouped_block_map(tagged, ["bucket"], anti)
 
 
 def sql_dormant_customers(cutoff: str = "2000-01-01") -> str:
@@ -1407,13 +1098,13 @@ def nation_trade_volume(
     - customer attach is the distributed-count-proven dual plan: under
       ``broadcast_limit`` the (custkey, nationkey) pairs broadcast and
       orders attach the customer nation per batch with ZERO exchange;
-      above it, a ``custkey % JOIN_BUCKETS`` co-partitioned exchange
-      (forced in tests; plans pinned identical).
+      above it, one custkey co-partition (``_order_nations``; forced in
+      tests; plans pinned identical).
     - lineitem maps supplier → nation and per-batch combines to
       (orderkey, s_nat, year, partial_rev, partial_n) — the one
-      orderkey-bucket exchange ships combined partials, not line rows.
-    - per-bucket join keeps s_nat ≠ c_nat (the Q7 cross-nation filter)
-      and folds to ≤ 25·24·years partial rows per bucket; the bounded
+      orderkey co-partition exchange ships combined partials, not line rows.
+    - per-block join keeps s_nat ≠ c_nat (the Q7 cross-nation filter)
+      and folds to ≤ 25·24·years partial rows per block; the bounded
       final fold is one ``repartition(1)`` in-block groupby.
 
     Output: (supp_nation, cust_nation, l_year, n_items, revenue_e4)\n    with revenue EXACT in integer 1e-4-dollar units (cents x (100-pct)),\n    so the result is bit-identical at any parallelism and in DuckDB."""
@@ -1439,79 +1130,7 @@ def nation_trade_volume(
     cust = read_table(sf_dir, "customer", columns=["c_custkey", "c_nationkey"])
     orders = read_table(sf_dir, "orders", columns=["o_orderkey", "o_custkey"])
 
-    n_cust = cust.count()  # distributed scalar — proves the broadcast bound
-    if n_cust <= broadcast_limit:
-        cdf = cust.to_pandas()  # bound proven ≤ broadcast_limit rows
-        ckeys = cdf["c_custkey"].to_numpy(dtype=np.int64)
-        cnats = cdf["c_nationkey"].to_numpy(dtype=np.int64)
-        corder = np.argsort(ckeys)
-        c_ref = ray.put((ckeys[corder], cnats[corder]))
-
-        def attach_cust_nat(df: pd.DataFrame) -> pd.DataFrame:
-            keys, nats = ray.get(c_ref)
-            v = df["o_custkey"].to_numpy(dtype=np.int64)
-            pos = np.searchsorted(keys, v)
-            hit = (pos < len(keys)) & (keys[np.minimum(pos, len(keys) - 1)] == v)
-            okey = df["o_orderkey"].to_numpy(dtype=np.int64)[hit]
-            return pd.DataFrame(
-                {
-                    "key": okey,
-                    "bucket": okey % JOIN_BUCKETS,
-                    "side": "o",
-                    "nat": nats[pos[hit]],
-                    "year": np.zeros(len(okey), dtype=np.int64),
-                    "rev": np.zeros(len(okey), dtype=np.int64),
-                    "n": np.zeros(len(okey), dtype=np.int64),
-                }
-            )
-
-        orders_nat = orders.map_batches(attach_cust_nat, batch_format="pandas")
-    else:
-        def tag_cust(df: pd.DataFrame) -> pd.DataFrame:
-            return pd.DataFrame(
-                {
-                    "key": df["c_custkey"].astype("int64"),
-                    "bucket": (df["c_custkey"] % JOIN_BUCKETS).astype("int64"),
-                    "side": "c",
-                    "val": df["c_nationkey"].astype("int64"),
-                }
-            )
-
-        def tag_orders(df: pd.DataFrame) -> pd.DataFrame:
-            return pd.DataFrame(
-                {
-                    "key": df["o_custkey"].astype("int64"),
-                    "bucket": (df["o_custkey"] % JOIN_BUCKETS).astype("int64"),
-                    "side": "o",
-                    "val": df["o_orderkey"].astype("int64"),
-                }
-            )
-
-        stage1 = cust.map_batches(tag_cust, batch_format="pandas").union(
-            orders.map_batches(tag_orders, batch_format="pandas")
-        )
-
-        def join_cust(df: pd.DataFrame) -> pd.DataFrame:
-            c = df[df["side"] == "c"][["key", "val"]].rename(
-                columns={"val": "c_nat"}
-            )
-            o = df[df["side"] == "o"][["key", "val"]].rename(
-                columns={"val": "okey"}
-            )
-            j = o.merge(c, on="key", how="inner")
-            return pd.DataFrame(
-                {
-                    "key": j["okey"].to_numpy(dtype=np.int64),
-                    "bucket": (j["okey"] % JOIN_BUCKETS).to_numpy(dtype=np.int64),
-                    "side": "o",
-                    "nat": j["c_nat"].to_numpy(dtype=np.int64),
-                    "year": np.zeros(len(j), dtype=np.int64),
-                    "rev": np.zeros(len(j), dtype=np.int64),
-                    "n": np.zeros(len(j), dtype=np.int64),
-                }
-            )
-
-        orders_nat = grouped_block_map(stage1, ["bucket"], join_cust)
+    orders_nat = _order_nations(cust, orders, cust.count() <= broadcast_limit)
 
     lineitem = read_table(
         sf_dir, "lineitem",
@@ -1519,13 +1138,8 @@ def nation_trade_volume(
                  "l_shipdate"],
     )
 
-    def tag_lineitem(df: pd.DataFrame) -> pd.DataFrame:
-        skeys, snats = ray.get(sup_ref)
-        v = df["l_suppkey"].to_numpy(dtype=np.int64)
-        pos = np.searchsorted(skeys, v)
-        hit = (pos < len(skeys)) & (skeys[np.minimum(pos, len(skeys) - 1)] == v)
-        sel = df[hit].copy()
-        sel["nat"] = snats[pos[hit]]
+    def line_partials(df: pd.DataFrame) -> pd.DataFrame:
+        sel = _supplier_nation(df, sup_ref)
         sel["year"] = pd.DatetimeIndex(sel["l_shipdate"]).year.astype("int64")
         # exact integer revenue in 1e-4 dollars: price and discount are
         # 2-decimal-representable (max float error < 1e-9, measured), so
@@ -1534,58 +1148,29 @@ def nation_trade_volume(
         pc_ = np.rint(sel["l_extendedprice"].to_numpy() * 100).astype(np.int64)
         dp_ = np.rint(sel["l_discount"].to_numpy() * 100).astype(np.int64)
         sel["rev"] = pc_ * (100 - dp_)
-        g = sel.groupby(["l_orderkey", "nat", "year"], as_index=False,
-                        sort=False).agg(rev=("rev", "sum"), n=("rev", "size"))
-        return pd.DataFrame(
-            {
-                "key": g["l_orderkey"].astype("int64"),
-                "bucket": (g["l_orderkey"] % JOIN_BUCKETS).astype("int64"),
-                "side": "l",
-                "nat": g["nat"].astype("int64"),
-                "year": g["year"].astype("int64"),
-                "rev": g["rev"].astype("int64"),
-                "n": g["n"].astype("int64"),
-            }
-        )
+        return sel.groupby(["l_orderkey", "nat", "year"], as_index=False,
+                           sort=False).agg(rev=("rev", "sum"), n=("rev", "size")
+                                           ).rename(columns={"l_orderkey": "o_orderkey"})
 
-    stage2 = orders_nat.union(
-        lineitem.map_batches(tag_lineitem, batch_format="pandas")
-    )
-
-    def join_line(df: pd.DataFrame) -> pd.DataFrame:
-        empty = pd.DataFrame(
-            {
-                "s_nat": pd.Series([], dtype="int64"),
-                "c_nat": pd.Series([], dtype="int64"),
-                "year": pd.Series([], dtype="int64"),
-                "p_rev": pd.Series([], dtype="int64"),
-                "p_n": pd.Series([], dtype="int64"),
-            }
-        )
-        o = df[df["side"] == "o"][["key", "nat"]].rename(columns={"nat": "c_nat"})
-        l = df[df["side"] == "l"][["key", "nat", "year", "rev", "n"]]
-        if len(o) == 0 or len(l) == 0:
-            return empty
-        j = l.merge(o, on="key", how="inner")
+    def join_line(p: dict) -> pd.DataFrame:
+        j = p["l"].merge(p["o"], on="o_orderkey", how="inner")
         j = j[j["nat"] != j["c_nat"]]  # the Q7 cross-nation filter
-        if len(j) == 0:
-            return empty
         g = j.groupby(["nat", "c_nat", "year"], as_index=False, sort=False).agg(
             p_rev=("rev", "sum"), p_n=("n", "sum")
         )
-        return pd.DataFrame(
-            {
-                "s_nat": g["nat"].to_numpy(dtype=np.int64),
-                "c_nat": g["c_nat"].to_numpy(dtype=np.int64),
-                "year": g["year"].to_numpy(dtype=np.int64),
-                "p_rev": g["p_rev"].to_numpy(),
-                "p_n": g["p_n"].to_numpy(dtype=np.int64),
-            }
-        )
+        return g.rename(columns={"nat": "s_nat"}).astype("int64")
 
-    partials = grouped_block_map(stage2, ["bucket"], join_line)
+    partials = copartition(
+        {
+            "o": (orders_nat, ["o_orderkey"], {"o_orderkey": "int64", "c_nat": "int64"}),
+            "l": (lineitem.map_batches(line_partials, batch_format="pandas"), ["o_orderkey"],
+                  {"o_orderkey": "int64", "nat": "int64", "year": "int64",
+                   "rev": "int64", "n": "int64"}),
+        },
+        join_line,
+    )
 
-    # bounded fold: ≤ 25·24·years rows per bucket block
+    # bounded fold: ≤ 25·24·years rows per block
     def finish(df: pd.DataFrame) -> pd.DataFrame:
         g = df.groupby(["s_nat", "c_nat", "year"], as_index=False,
                        sort=True).agg(rev_raw=("p_rev", "sum"),

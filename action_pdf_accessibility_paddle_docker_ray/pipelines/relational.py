@@ -21,7 +21,7 @@ from ray.data.aggregate import Count, Max, Min, Sum
 
 from .. import ensure_picklable
 from ..sources.pages import read_table
-from .util import grouped_block_dedup, grouped_block_map
+from .util import colocate, grouped_block_dedup, grouped_block_map
 
 SESSION_GAP_US = 30 * 60 * 1_000_000  # 30 minutes
 
@@ -558,9 +558,7 @@ def events_user_running(sf_dir: str) -> ray.data.Dataset:
 
     ds = read_table(sf_dir, "events", columns=["event_id", "ts", "user_id", "value"])
     # sort by EXACTLY the partition key (colocation invariant, util.py)
-    return ds.sort(["user_id"]).map_batches(
-        window, batch_format="pandas", batch_size=None
-    )
+    return colocate(ds, ["user_id"], window)
 
 
 def sql_events_user_running() -> str:
@@ -640,11 +638,8 @@ def events_funnel(sf_dir: str) -> pd.DataFrame:
         )
 
     ds = read_table(sf_dir, "events", columns=["user_id", "ts", "event_type"])
-    part = (
-        ds.sort(["user_id"])  # exactly the partition key (colocation)
-        .map_batches(stages, batch_format="pandas", batch_size=None)
-        .to_pandas()  # <= 3 rows per block by construction
-    )
+    # <= 3 rows per block by construction
+    part = colocate(ds, ["user_id"], stages).to_pandas()
     if len(part) == 0:
         part = pd.DataFrame({"stage": [1, 2, 3], "n": [0, 0, 0]})
     out = part.groupby("stage", as_index=False)["n"].sum()
@@ -757,13 +752,9 @@ def cohort_retention(sf_dir: str) -> ray.data.Dataset:
         )
 
     ds = read_table(sf_dir, "events", columns=["user_id", "ts", "event_type"])
-    part = ds.sort(["user_id"]).map_batches(
-        per_user, batch_format="pandas", batch_size=None
-    )
+    part = colocate(ds, ["user_id"], per_user)
     # exchange 2: (cohort, offset)-cardinality — days, not events
-    return part.sort(["cohort_day", "day_offset"]).map_batches(
-        fold, batch_format="pandas", batch_size=None
-    )
+    return colocate(part, ["cohort_day", "day_offset"], fold)
 
 
 def sql_cohort_retention() -> str:
@@ -968,11 +959,7 @@ def source_length_stats(sf_dir: str) -> ray.data.Dataset:
     ds = read_table(sf_dir, "documents", columns=["source", "n_chars"])
     # ONE source-cardinality grouped exchange; a million-host profile never
     # lands partial rows on the driver (colocation invariant on [source])
-    return (
-        ds.map_batches(partial, batch_format="pandas")
-        .sort(["source"])
-        .map_batches(fold, batch_format="pandas", batch_size=None)
-    )
+    return colocate(ds.map_batches(partial, batch_format="pandas"), ["source"], fold)
 
 
 def sql_source_length_stats() -> str:
@@ -1267,9 +1254,7 @@ def user_mode_type(sf_dir: str) -> ray.data.Dataset:
     # after the sort does the same merge vectorized.
     counts = ds.map_batches(count_partial, batch_format="pandas", batch_size=None)
     # sort by EXACTLY the fold key (colocation invariant, util.py)
-    return counts.sort(["user_id"]).map_batches(
-        argmax_block, batch_format="pandas", batch_size=None
-    )
+    return colocate(counts, ["user_id"], argmax_block)
 
 
 def sql_user_mode_type() -> str:
@@ -1370,8 +1355,7 @@ def type_value_median(sf_dir: str) -> pd.DataFrame:
     hist = ds.map_batches(hist_partial, batch_format="pandas", batch_size=None)
     # sort by EXACTLY the fold key (colocation invariant, util.py)
     out = (
-        hist.sort(["event_type"])
-        .map_batches(median_block, batch_format="pandas", batch_size=None)
+        colocate(hist, ["event_type"], median_block)
         .to_pandas()  # one row per type by construction
     )
     return out.sort_values("event_type", ignore_index=True)
@@ -1515,11 +1499,12 @@ def part_skyline(sf_dir: str) -> pd.DataFrame:
     Scale plan: skylines are MERGEABLE with a bounded partial — for each
     distinct size only the cheapest part can survive, so a per-batch
     combiner collapses each block to ≤ n_distinct_sizes champion rows
-    (min price per size, min partkey at that price); the driver folds the
-    ≤ sizes×blocks partials and computes the frontier with one
-    sorted-scan (size desc, running strict-min of price).  No corpus
-    exchange at all — the same counts-only-driver-traffic shape as
-    ``seeded_shuffle``.  Prices fold in exact integer cents.
+    (min price per size, min partkey at that price); one size-keyed
+    ``grouped_block_dedup`` folds those partials to ONE champion per size
+    (the corpus itself never shuffles), so the driver receives ≤
+    n_distinct_sizes rows and computes the frontier with one sorted-scan
+    (size desc, running strict-min of price).  Prices fold in exact
+    integer cents.
 
     Output: (p_size, min_price_cents, best_partkey), frontier rows only.
     """
@@ -1548,11 +1533,11 @@ def part_skyline(sf_dir: str) -> pd.DataFrame:
         ).sort_values(["p_size", "pc", "p_partkey"], kind="mergesort")
         return d[~d["p_size"].duplicated()]
 
-    parts = (
+    parts = grouped_block_dedup(
         read_table(sf_dir, "part", columns=["p_partkey", "p_size", "p_retailprice"])
-        .map_batches(champion_partial, batch_format="pandas")
-        .to_pandas()  # ≤ n_sizes × n_blocks champion rows by construction
-    )
+        .map_batches(champion_partial, batch_format="pandas"),
+        ["p_size"], order=["pc", "p_partkey"],
+    ).to_pandas()  # ≤ one champion row per distinct size reaches the driver
     empty = pd.DataFrame(
         {
             "p_size": pd.Series([], dtype="int64"),
@@ -1562,11 +1547,8 @@ def part_skyline(sf_dir: str) -> pd.DataFrame:
     )
     if len(parts) == 0:
         return empty
-    champ = parts.sort_values(
-        ["p_size", "pc", "p_partkey"], kind="mergesort"
-    ).drop_duplicates("p_size")
     # frontier: walk sizes DESC keeping rows whose price strictly improves
-    champ = champ.sort_values("p_size", ascending=False, kind="mergesort")
+    champ = parts.sort_values("p_size", ascending=False, kind="mergesort")
     prices = champ["pc"].to_numpy("int64")
     keep = np.ones(len(champ), dtype=bool)
     best = None
@@ -1668,9 +1650,7 @@ def order_month_rank(sf_dir: str) -> ray.data.Dataset:
         sf_dir, "orders", columns=["o_orderkey", "o_orderdate", "o_totalprice"]
     ).map_batches(key_rows, batch_format="pandas", batch_size=None)
     # sort by EXACTLY the window partition key (colocation invariant)
-    return ds.sort(["month"]).map_batches(
-        rank_block, batch_format="pandas", batch_size=None
-    )
+    return colocate(ds, ["month"], rank_block)
 
 
 def sql_order_month_rank() -> str:
@@ -1742,7 +1722,7 @@ def events_late_window(
     ensure_picklable()
     import ray
 
-    from .sampling import fmix32_np
+    from ..functions.fnv import fmix32_np
     from .util import grouped_block_map, grouped_block_sum
 
     def key_rows(df: pd.DataFrame) -> pd.DataFrame:

@@ -4,9 +4,9 @@ Training pipelines need reproducible randomness: the same corpus must
 yield the same train/val/test assignment and the same shuffle order on
 every run, at any parallelism, with no driver-held RNG state.  Both ops
 here derive their "randomness" from the murmur3 fmix32 finalizer (a
-bijection on uint32 — already bit-reproduced in DuckDB by
-``sql_oracles._fmix32_ctes``), so every row's fate is a pure function of
-its id and the seed.
+bijection on uint32, ``functions/fnv.fmix32_np`` — bit-reproduced in
+DuckDB by ``sql_oracles._fmix32_ctes``), so every row's fate is a pure
+function of its id and the seed.
 
 Scale design: ``hash_split`` is embarrassingly parallel (no exchange).
 ``seeded_shuffle`` needs a global rank; it buckets rows by the TOP bits
@@ -26,22 +26,12 @@ import ray
 import ray.data
 
 from .. import ensure_picklable
+from ..functions.fnv import fmix32_np
 from ..sources.pages import read_table
-from .util import grouped_block_map
+from .sql_oracles import _fmix32_ctes
+from .util import colocate, grouped_block_map
 
 _M32 = 1 << 32
-
-
-def fmix32_np(h: np.ndarray) -> np.ndarray:
-    """Vectorized murmur3 fmix32 (bit-exact vs dedup_ops.fmix32)."""
-    h = h.astype(np.uint32, copy=True)
-    with np.errstate(over="ignore"):
-        h ^= h >> np.uint32(16)
-        h *= np.uint32(0x85EBCA6B)
-        h ^= h >> np.uint32(13)
-        h *= np.uint32(0xC2B2AE35)
-        h ^= h >> np.uint32(16)
-    return h
 
 
 def hash_split(sf_dir: str) -> ray.data.Dataset:
@@ -199,9 +189,10 @@ def domain_quota_sample(sf_dir: str, *, k: int = _QUOTA_K) -> ray.data.Dataset:
 
 
 def sql_domain_quota_sample() -> str:
-    frag, final = _fmix32_sql(f"doc_id % {_M32}", carry="doc_id, source")
+    frag, final = _fmix32_ctes("fx", "fsrc", ["doc_id", "source"], "hin", "hv")
     return (
-        f"WITH {frag} "
+        f"WITH fsrc AS (SELECT doc_id, source, doc_id % {_M32} AS hin "
+        f"FROM documents), {frag} "
         "SELECT doc_id, source, rk FROM (SELECT doc_id, source, "
         "CAST(row_number() OVER (PARTITION BY source ORDER BY hv, doc_id) "
         f"AS BIGINT) AS rk FROM {final}) WHERE rk <= {_QUOTA_K}"
@@ -265,11 +256,10 @@ def priority_sample(sf_dir: str, *, k: int = _PRIO_K, seed: int = _PRIO_SEED) ->
 
 
 def sql_priority_sample() -> str:
-    frag, final = _fmix32_sql(
-        f"xor(doc_id % {_M32}, {_PRIO_SEED})", carry="doc_id, n_chars"
-    )
+    frag, final = _fmix32_ctes("fx", "fsrc", ["doc_id", "n_chars"], "hin", "hv")
     return (
-        f"WITH {frag} "
+        f"WITH fsrc AS (SELECT doc_id, n_chars, xor(doc_id % {_M32}, {_PRIO_SEED}) "
+        f"AS hin FROM documents), {frag} "
         "SELECT doc_id, n_chars, rk FROM (SELECT doc_id, n_chars, "
         "CAST(row_number() OVER (ORDER BY "
         "CAST(n_chars AS DOUBLE) / ((CAST(hv AS DOUBLE) + 1) / 4294967296.0) DESC, "
@@ -349,9 +339,10 @@ def sql_sequence_pack() -> str:
     bucket's doc_id-ordered rows (recursion depth = max rows per bucket —
     fine at check scale; the Ray side is the scale path)."""
     c = _PACK_CAPACITY
-    frag, final = _fmix32_sql(f"doc_id % {_M32}")
+    frag, final = _fmix32_ctes("fx", "fsrc", ["doc_id"], "hin", "hv")
     return (
-        f"WITH RECURSIVE {frag}, "
+        f"WITH RECURSIVE fsrc AS (SELECT doc_id, doc_id % {_M32} AS hin "
+        f"FROM documents), {frag}, "
         "nt AS (SELECT f.doc_id, f.hv % "
         f"{_PACK_BUCKETS} AS bucket, "
         r"CAST(length(regexp_extract_all(d.text, '\S+')) AS BIGINT) AS n "
@@ -372,21 +363,10 @@ def sql_sequence_pack() -> str:
     )
 
 
-def _fmix32_sql(hin_expr: str, carry: str = "doc_id") -> tuple[str, str]:
-    """(cte_fragment, final_cte): fmix32 of ``hin_expr`` over documents."""
-    from .sql_oracles import _fmix32_ctes
-
-    frag, final = _fmix32_ctes(
-        "fx", "fsrc", [carry], "hin", "hv"
-    )
-    src = f"fsrc AS (SELECT {carry}, {hin_expr} AS hin FROM documents)"
-    return f"{src}, {frag}", final
-
-
 def sql_hash_split() -> str:
-    frag, final = _fmix32_sql(f"doc_id % {_M32}")
+    frag, final = _fmix32_ctes("fx", "fsrc", ["doc_id"], "hin", "hv")
     return (
-        f"WITH {frag} "
+        f"WITH fsrc AS (SELECT doc_id, doc_id % {_M32} AS hin FROM documents), {frag} "
         f"SELECT doc_id, hv % 100 AS bucket, "
         "CASE WHEN hv % 100 < 5 THEN 'test' WHEN hv % 100 < 10 THEN 'val' "
         f"ELSE 'train' END AS split FROM {final}"
@@ -394,23 +374,23 @@ def sql_hash_split() -> str:
 
 
 def sql_stratified_sample() -> str:
-    frag, final = _fmix32_sql(
-        f"xor(doc_id % {_M32}, {_SAMPLE_SEED})", carry="doc_id, lang"
-    )
+    frag, final = _fmix32_ctes("fx", "fsrc", ["doc_id", "lang"], "hin", "hv")
     case = "CASE lang " + " ".join(
         f"WHEN '{lang}' THEN {thr}"
         for lang, thr in sorted(SAMPLE_RATES_PER_10K.items())
     ) + f" ELSE {_SAMPLE_DEFAULT_10K} END"
     return (
-        f"WITH {frag} "
+        f"WITH fsrc AS (SELECT doc_id, lang, xor(doc_id % {_M32}, {_SAMPLE_SEED}) "
+        f"AS hin FROM documents), {frag} "
         f"SELECT doc_id, lang FROM {final} WHERE hv % 10000 < {case}"
     )
 
 
 def sql_seeded_shuffle() -> str:
-    frag, final = _fmix32_sql(f"xor(doc_id % {_M32}, {_SHUFFLE_SEED})")
+    frag, final = _fmix32_ctes("fx", "fsrc", ["doc_id"], "hin", "hv")
     return (
-        f"WITH {frag} "
+        f"WITH fsrc AS (SELECT doc_id, xor(doc_id % {_M32}, {_SHUFFLE_SEED}) AS hin "
+        f"FROM documents), {frag} "
         "SELECT doc_id, hv AS shuffle_key, "
         "CAST(row_number() OVER (ORDER BY hv, doc_id) - 1 AS BIGINT) AS rank "
         f"FROM {final}"
@@ -467,14 +447,13 @@ def corpus_mix(sf_dir: str, *, seed: int = _MIX_SEED) -> ray.data.Dataset:
 
 
 def sql_corpus_mix(seed: int = _MIX_SEED) -> str:
-    frag, final = _fmix32_sql(
-        f"xor(doc_id % {_M32}, {seed})", carry="doc_id, source"
-    )
+    frag, final = _fmix32_ctes("fx", "fsrc", ["doc_id", "source"], "hin", "hv")
     case = "CASE source " + " ".join(
         f"WHEN '{s}' THEN {w}" for s, w in sorted(MIX_WEIGHTS_PER_10K.items())
     ) + f" ELSE {_MIX_DEFAULT_10K} END"
     return (
-        f"WITH {frag}, "
+        f"WITH fsrc AS (SELECT doc_id, source, xor(doc_id % {_M32}, {seed}) "
+        f"AS hin FROM documents), {frag}, "
         f"n AS (SELECT doc_id, source, ({case}) // 10000 + "
         f"CASE WHEN hv % 10000 < ({case}) % 10000 THEN 1 ELSE 0 END AS n_copies "
         f"FROM {final}) "
@@ -551,7 +530,6 @@ def corpus_curate(sf_dir: str, *, seed: int = _SAMPLE_SEED) -> ray.data.Dataset:
 
 
 def sql_corpus_curate(seed: int = _SAMPLE_SEED) -> str:
-    from .sql_oracles import _fmix32_ctes
     from .web_ops import sql_gopher_filter
 
     frag, final = _fmix32_ctes("fx", "fsrc", ["doc_id, lang"], "hin", "hv")
@@ -611,9 +589,7 @@ def curate_dup_losers_ds(sf_dir: str) -> ray.data.Dataset:
     ds = read_table(sf_dir, "documents", columns=["doc_id", "text"])
     q = ds.map_batches(stage_a, batch_format="pandas")
     # sort by EXACTLY the dedup key (colocation invariant, util.py)
-    return q.sort(["text_sha"]).map_batches(
-        losers, batch_format="pandas", batch_size=None
-    )
+    return colocate(q, ["text_sha"], losers)
 
 
 def curate_keep_mask(df: pd.DataFrame, losers: frozenset, seed: int) -> pd.DataFrame:

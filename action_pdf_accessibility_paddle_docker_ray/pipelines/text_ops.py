@@ -18,7 +18,7 @@ import ray.data
 from .. import ensure_picklable
 from ..functions.fnv import fnv1a_32
 from ..sources.pages import read_table
-from .util import grouped_block_dedup, grouped_block_map
+from .util import colocate, copartition, grouped_block_dedup, grouped_block_map, hash_key
 
 _TOKEN_RE = r"\S+"
 _WORD_RE = r"[A-Za-z]+"
@@ -148,9 +148,7 @@ def incremental_dedup(sf_dir: str) -> ray.data.Dataset:
             {"doc_id": df["doc_id"].astype("int64"), "text": df["text"]}
         )
 
-    return keyed.sort(["text_sha"]).map_batches(
-        resolve_block, batch_format="pandas", batch_size=None
-    )
+    return colocate(keyed, ["text_sha"], resolve_block)
 
 
 def sql_incremental_dedup() -> str:
@@ -372,7 +370,6 @@ def repetition_stats(sf_dir: str) -> ray.data.Dataset:
 # being "small side"; the op switches to the bucketed token⋈logprob join
 # (no driver-side vocabulary, all-exchange, unbounded-safe)
 _VOCAB_BROADCAST_MAX = 1_000_000
-_LP_JOIN_BUCKETS = 64
 
 
 def unigram_logprob(
@@ -388,10 +385,10 @@ def unigram_logprob(
       bounded), broadcast the {token: micro-logprob} dict once
       (``ray.put``), score each batch in place — zero further exchanges.
     - larger: the open-web path.  Per-token logprobs stay a DATASET;
-      (doc_id, token, count) rows co-partition with (token, lp) rows by a
-      token-hash bucket (one grouped exchange), per-bucket partial sums
-      flow into a tiny groupby(doc_id) — nothing token-shaped ever reaches
-      the driver.
+      (doc_id, token, count) rows co-partition with (token, lp) rows on
+      the token's hash (``util.copartition``, one sort exchange), per-block
+      partial sums flow into a tiny groupby(doc_id) — nothing token-shaped
+      ever reaches the driver.
 
     Integer micro-logprob sums are order-free, so both paths are
     bit-identical to each other and to the SQL oracle at any parallelism.
@@ -448,50 +445,29 @@ def unigram_logprob(
 
         return docs.map_batches(score, batch_format="pandas")
 
-    # ---- bucketed join path (vocabulary too large to broadcast) ----------
-    def _bucket(tokens: pd.Series) -> np.ndarray:
-        return (pd.util.hash_array(tokens.to_numpy(object)) % _LP_JOIN_BUCKETS).astype("int64")
-
+    # ---- co-partitioned join path (vocabulary too large to broadcast) ----
     def lp_rows(df: pd.DataFrame) -> pd.DataFrame:
         lp = np.round(np.log2(df["n"].to_numpy() / total) * 1e6).astype("int64")
-        return pd.DataFrame(
-            {"bucket": _bucket(df["token"]), "side": "l", "doc_id": np.int64(-1),
-             "token": df["token"], "cnt": np.int64(0), "lp": lp}
-        )
+        return pd.DataFrame({"h": hash_key(df["token"]), "token": df["token"], "lp": lp})
 
     def doc_token_rows(df: pd.DataFrame) -> pd.DataFrame:
         toks = df.set_index("doc_id")["text"].str.findall(_TOKEN_RE).explode().dropna()
         g = toks.groupby([toks.index, toks.to_numpy()]).size()
-        idx = g.index
-        tokens = pd.Series(idx.get_level_values(1))
+        tokens = g.index.get_level_values(1)
         return pd.DataFrame(
-            {"bucket": _bucket(tokens), "side": "d",
-             "doc_id": idx.get_level_values(0).to_numpy().astype("int64"),
-             "token": tokens.to_numpy(), "cnt": g.to_numpy().astype("int64"),
-             "lp": np.int64(0)}
+            {"h": hash_key(tokens), "doc_id": g.index.get_level_values(0),
+             "token": tokens, "cnt": g.to_numpy()}
         )
 
-    both = vocab_ds.map_batches(lp_rows, batch_format="pandas").union(
-        docs.map_batches(doc_token_rows, batch_format="pandas")
-    )
-
-    def join_bucket(df: pd.DataFrame) -> pd.DataFrame:
-        d = df[df["side"] == "d"]
-        if len(d) == 0:
-            return pd.DataFrame({"doc_id": pd.Series([], dtype="int64"),
-                                 "lp_part": pd.Series([], dtype="int64"),
-                                 "n_part": pd.Series([], dtype="int64")})
-        lut = df[df["side"] == "l"]
+    def join_block(p: dict) -> pd.DataFrame:
+        d, lut = p["d"], p["l"]
         lp = d["token"].map(dict(zip(lut["token"], lut["lp"]))).astype("int64")
         part = pd.DataFrame(
             {"doc_id": d["doc_id"].to_numpy(),
              "lp_part": (lp * d["cnt"]).to_numpy(),
              "n_part": d["cnt"].to_numpy()}
         )
-        g = part.groupby("doc_id", sort=False).sum()
-        return g.reset_index()
-
-    from .util import grouped_block_map
+        return part.groupby("doc_id", sort=False).sum().reset_index()
 
     def _arrow(df: pd.DataFrame) -> "pa.Table":
         # the final aggregate has one group per DOC (corpus-scale): feed it
@@ -501,9 +477,15 @@ def unigram_logprob(
 
         return pa.Table.from_pandas(df, preserve_index=False)
 
-    partials = grouped_block_map(both, ["bucket"], join_bucket).map_batches(
-        _arrow, batch_format="pandas"
-    )
+    partials = copartition(
+        {
+            "l": (vocab_ds.map_batches(lp_rows, batch_format="pandas"), ["h"],
+                  {"h": "uint64", "token": "object", "lp": "int64"}),
+            "d": (docs.map_batches(doc_token_rows, batch_format="pandas"), ["h"],
+                  {"h": "uint64", "doc_id": "int64", "token": "object", "cnt": "int64"}),
+        },
+        join_block,
+    ).map_batches(_arrow, batch_format="pandas")
 
     # zero-token docs still get a row (seed 0-partials per doc)
     def seed_rows(df: pd.DataFrame) -> "pa.Table":
@@ -534,15 +516,13 @@ def unigram_logprob(
 # TF-IDF keyword extraction: per-doc top-k terms by integer tf-idf score.
 # Document frequency is computed distributed (per-batch combiner → one
 # grouped exchange of (token, partial) rows); idf attaches to the
-# (doc, token, tf) rows via a token-hash BUCKETED join — a per-row lookup
-# inside each bucket, so a hot token ("the", df ≈ n_docs) never needs its
-# rows co-located in one group the way a groupby(token) plan would.  No
+# (doc, token, tf) rows via a token-hash co-partitioned join — a per-row
+# dict lookup inside each block, no per-token group dispatch.  No
 # vocabulary ever reaches the driver.  Integer scores (micro-idf floor
 # division) keep the DuckDB oracle bit-exact at any parallelism.
 # ---------------------------------------------------------------------------
 
 _TFIDF_K = 3
-_TFIDF_BUCKETS = 64
 _IDF_MICRO = 1_000_000
 
 
@@ -550,7 +530,7 @@ def tfidf_topk(sf_dir: str) -> ray.data.Dataset:
     """Per-doc top-3 terms by tf * ((n_docs * 1e6) // df), ties → token asc.
 
     Stages: explode → tf rows (materialized once, consumed twice) →
-    df via combiner + groupby(token) → bucketed idf⋈tf join → per-doc
+    df via combiner + groupby(token) → co-partitioned idf⋈tf join → per-doc
     top-k.  Returns (doc_id, rk, token, score)."""
     ensure_picklable()
     import numpy as np
@@ -589,54 +569,36 @@ def tfidf_topk(sf_dir: str) -> ray.data.Dataset:
         .aggregate(Sum("part_df", alias_name="df"))
     )
 
-    def _bucket(tokens: pd.Series) -> "np.ndarray":
-        return (
-            pd.util.hash_array(tokens.to_numpy(object)) % _TFIDF_BUCKETS
-        ).astype("int64")
-
     def idf_rows(df: pd.DataFrame) -> pd.DataFrame:
         idf = (np.int64(n_docs) * _IDF_MICRO) // df["df"].to_numpy()
-        return pd.DataFrame(
-            {"bucket": _bucket(df["token"]), "side": "l",
-             "doc_id": np.int64(-1), "token": df["token"],
-             "tf": np.int64(0), "idf": idf.astype("int64")}
-        )
+        return pd.DataFrame({"h": hash_key(df["token"]), "token": df["token"], "idf": idf})
 
-    def tf_side(df: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame(
-            {"bucket": _bucket(df["token"]), "side": "d",
-             "doc_id": df["doc_id"].astype("int64"), "token": df["token"],
-             "tf": df["tf"].astype("int64"), "idf": np.int64(0)}
-        )
-
-    both = dfreq.map_batches(idf_rows, batch_format="pandas").union(
-        tf.map_batches(tf_side, batch_format="pandas")
-    )
-
-    def join_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        d = g[g["side"] == "d"]
-        if len(d) == 0:
-            return pd.DataFrame(
-                {"doc_id": pd.Series([], dtype="int64"),
-                 "token": pd.Series([], dtype="object"),
-                 "score": pd.Series([], dtype="int64")}
-            )
-        lut = g[g["side"] == "l"]
+    def join_block(p: dict) -> pd.DataFrame:
+        d, lut = p["d"], p["l"]
         idf = d["token"].map(dict(zip(lut["token"], lut["idf"])))
         out = pd.DataFrame(
             {"doc_id": d["doc_id"].to_numpy(),
              "token": d["token"].to_numpy(),
              "score": d["tf"].to_numpy() * idf.to_numpy().astype("int64")}
         )
-        # combiner: global top-k ⊆ union of per-bucket top-k, so the doc
-        # exchange carries ≤ k rows per (doc, bucket) instead of every
+        # combiner: global top-k ⊆ union of per-block top-k, so the doc
+        # exchange carries ≤ k rows per (doc, block) instead of every
         # scored token the doc has
         out = out.sort_values(
             ["score", "token"], ascending=[False, True], kind="mergesort"
         )
         return out.groupby("doc_id", sort=False).head(_TFIDF_K)
 
-    scored = grouped_block_map(both, ["bucket"], join_bucket)
+    scored = copartition(
+        {
+            "l": (dfreq.map_batches(idf_rows, batch_format="pandas"), ["h"],
+                  {"h": "uint64", "token": "object", "idf": "int64"}),
+            "d": (tf.map_batches(lambda df: df.assign(h=hash_key(df["token"])),
+                                 batch_format="pandas"), ["h"],
+                  {"h": "uint64", "doc_id": "int64", "token": "object", "tf": "int64"}),
+        },
+        join_block,
+    )
 
     def topk(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(
@@ -970,7 +932,7 @@ class _HashedLinearScorer:
     def __call__(self, df: pd.DataFrame) -> pd.DataFrame:
         import numpy as np
 
-        from .sampling import fmix32_np
+        from ..functions.fnv import fmix32_np
 
         toks = df.reset_index(drop=True)["text"].str.findall(_TOKEN_RE)
         ex = toks.explode().dropna()
@@ -1226,16 +1188,16 @@ def sql_inverted_index(
 #   - count ≤ broadcast bound: the {h: keeper} map broadcasts via ray.put
 #     and the removal pass is a pure per-doc map — zero further exchanges;
 #   - larger (the open-web path): dup rows stay a DATASET; window
-#     occurrences co-partition with dup rows by an md5-hash bucket (one
-#     grouped exchange), surviving (doc, start) removals co-partition with
-#     the tagged text rows on doc_id (one more), and the per-doc rebuild is
-#     block-local.  Nothing window-shaped ever reaches the driver.
+#     occurrences co-partition with dup rows on the md5's hash (one sort
+#     exchange, ``util.copartition``), surviving (doc, start) removals
+#     co-partition with the text rows on doc_id (one more), and the
+#     per-doc rebuild is block-local.  Nothing window-shaped ever reaches
+#     the driver.
 # Both paths are bit-identical to each other and to the SQL oracle.
 # ---------------------------------------------------------------------------
 
 _SUBDUP_K = 8
 _SUBDUP_BROADCAST_MAX = 1_000_000
-_SUBDUP_BUCKETS = 64
 _SUBDUP_PASSAGES = (
     "This website uses cookies to ensure you get the best experience on our site",
     "All rights reserved unauthorized reproduction of this article is strictly prohibited",
@@ -1357,16 +1319,7 @@ def substring_dedup(
 
         return docs.map_batches(scrub, batch_format="pandas")
 
-    # ---- bucketed-join path (dup set too large to broadcast) -------------
-    def _bucket(h: pd.Series) -> "np.ndarray":
-        return (pd.util.hash_array(h.to_numpy(object)) % _SUBDUP_BUCKETS).astype("int64")
-
-    def dup_rows(df: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame(
-            {"bucket": _bucket(df["h"]), "side": "d", "doc_id": np.int64(-1),
-             "h": df["h"], "i": np.int64(0), "keeper": df["keeper"].astype("int64")}
-        )
-
+    # ---- co-partitioned path (dup set too large to broadcast) ------------
     def occ_rows(df: pd.DataFrame) -> pd.DataFrame:
         ids, hs, starts = [], [], []
         for doc_id, text in zip(df["doc_id"], df["text"]):
@@ -1374,60 +1327,34 @@ def substring_dedup(
             ids.extend([int(doc_id)] * len(ws))
             hs.extend(ws)
             starts.extend(range(len(ws)))
-        h = pd.Series(hs, dtype=object)
-        return pd.DataFrame(
-            {"bucket": _bucket(h), "side": "w",
-             "doc_id": pd.Series(ids, dtype="int64"), "h": h,
-             "i": pd.Series(starts, dtype="int64"), "keeper": np.int64(-1)}
-        )
+        return pd.DataFrame({"hk": hash_key(hs), "doc_id": ids, "h": hs, "i": starts})
 
-    both = dups.map_batches(dup_rows, batch_format="pandas").union(
-        docs.map_batches(occ_rows, batch_format="pandas")
+    def join_block(p: dict) -> pd.DataFrame:
+        w, d = p["w"], p["d"]
+        keeper = w["h"].map(dict(zip(d["h"], d["keeper"])))
+        out = w[keeper.notna() & (keeper != w["doc_id"])]
+        return out[["doc_id", "i"]]
+
+    removals = copartition(
+        {
+            "d": (dups.map_batches(lambda df: df.assign(hk=hash_key(df["h"])),
+                                   batch_format="pandas"),
+                  ["hk"], {"hk": "uint64", "h": "object", "keeper": "int64"}),
+            "w": (docs.map_batches(occ_rows, batch_format="pandas"), ["hk"],
+                  {"hk": "uint64", "doc_id": "int64", "h": "object", "i": "int64"}),
+        },
+        join_block,
     )
 
-    def join_bucket(df: pd.DataFrame) -> pd.DataFrame:
-        w = df[df["side"] == "w"]
-        d = df[df["side"] == "d"]
-        if len(w) == 0 or len(d) == 0:
-            return pd.DataFrame({"doc_id": pd.Series([], dtype="int64"),
-                                 "i": pd.Series([], dtype="int64")})
-        keeper = w["h"].map(dict(zip(d["h"], d["keeper"].astype(int))))
-        hit = keeper.notna() & (keeper != w["doc_id"])
-        out = w[hit]
-        return pd.DataFrame({"doc_id": out["doc_id"].to_numpy(),
-                             "i": out["i"].to_numpy()})
-
-    removals = grouped_block_map(both, ["bucket"], join_bucket)
-
-    def text_rows(df: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame(
-            {"doc_id": df["doc_id"].astype("int64"), "side": "t",
-             "text": df["text"], "i": np.int64(-1)}
-        )
-
-    def rm_rows(df: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame(
-            {"doc_id": df["doc_id"].astype("int64"), "side": "r",
-             "text": "", "i": df["i"].astype("int64")}
-        )
-
-    merged = docs.map_batches(text_rows, batch_format="pandas").union(
-        removals.map_batches(rm_rows, batch_format="pandas")
-    )
-
-    def rebuild_block(df: pd.DataFrame) -> pd.DataFrame:
-        # sort(["doc_id"]) co-located each doc's text + removal rows here
-        # (colocation invariant, module docstring above); one pass, with
+    def rebuild_block(p: dict) -> pd.DataFrame:
+        # each doc's text + removal rows are in this block; one pass, with
         # the per-doc Python work being the unit of work by design
-        if len(df) == 0:
-            return _rows([], [], [], [])
         starts = {
             doc_id: g.to_numpy()
-            for doc_id, g in df[df["side"] == "r"].groupby("doc_id", sort=False)["i"]
+            for doc_id, g in p["r"].groupby("doc_id", sort=False)["i"]
         }
-        t = df[df["side"] == "t"]
         ids, texts, n_toks, n_rm = [], [], [], []
-        for doc_id, text in zip(t["doc_id"], t["text"]):
+        for doc_id, text in zip(p["t"]["doc_id"], p["t"]["text"]):
             doc_id = int(doc_id)
             toks = re.findall(_TOKEN_RE, _subdup_augment(doc_id, text))
             mask = np.zeros(len(toks), dtype=bool)
@@ -1438,8 +1365,12 @@ def substring_dedup(
             n_toks.append(len(toks)); n_rm.append(int(mask.sum()))
         return _rows(ids, texts, n_toks, n_rm)
 
-    return merged.sort(["doc_id"]).map_batches(
-        rebuild_block, batch_format="pandas", batch_size=None
+    return copartition(
+        {
+            "t": (docs, ["doc_id"], {"doc_id": "int64", "text": "object"}),
+            "r": (removals, ["doc_id"], {"doc_id": "int64", "i": "int64"}),
+        },
+        rebuild_block,
     )
 
 
@@ -1670,7 +1601,7 @@ def _dsir_buckets(tokens: "np.ndarray") -> "np.ndarray":
     tokens (callers dedup first — Zipf makes uniques ≪ occurrences)."""
     import numpy as np
 
-    from .sampling import fmix32_np
+    from ..functions.fnv import fmix32_np
 
     fnv = np.array([fnv1a_32(t) for t in tokens], dtype=np.uint64)
     return (fmix32_np(fnv) % np.uint64(_DSIR_B)).astype(np.int64)
@@ -2153,7 +2084,6 @@ def sql_bpe_train(n_merges: int = _BPE_MERGES) -> str:
 # Bigram LM scoring (round 4) — the CCNet/KenLM-style perplexity signal
 # ---------------------------------------------------------------------------
 
-_BG_BUCKETS = 512  # (w1, w2) co-partition buckets for the scoring join
 _BG_BROADCAST_MAX = 1_000_000  # bigram-model rows provably safe to broadcast
 
 
@@ -2183,10 +2113,10 @@ def bigram_logprob(
        ``model_broadcast_max`` rows broadcasts its {(w1,w2): lp} dict
        once via ``ray.put`` and every batch scores in place — zero
        further exchanges; a larger model takes the open-web path —
-       doc-side (doc_id, w1, w2, cnt) partials union the lp rows under
-       a hashed (w1, w2) bucket, one grouped exchange co-locates them,
-       an in-block vectorized pandas merge + doc-id partial sum, then
-       the final Arrow-combiner groupby(doc_id).  Both paths are
+       doc-side (doc_id, w1, w2, cnt) partials co-partition with the lp
+       rows on the (w1, w2) hash (``util.copartition``, one sort
+       exchange), an in-block vectorized pandas merge + doc-id partial
+       sum, then the final Arrow-combiner groupby(doc_id).  Both paths are
        bit-identical (equivalence-tested).
 
     Scoring the training corpus means every doc bigram exists in the
@@ -2254,9 +2184,7 @@ def bigram_logprob(
         ).astype("int64")
         return pd.DataFrame({"w1": df["w1"], "w2": df["w2"], "lp": lp})
 
-    lp_ds = model.sort(["w1"]).map_batches(
-        lp_block, batch_format="pandas", batch_size=None
-    )
+    lp_ds = colocate(model, ["w1"], lp_block)
 
     max_b = _BG_BROADCAST_MAX if model_broadcast_max is None else model_broadcast_max
     if model.count() <= max_b:  # distributed count proves the bound FIRST
@@ -2292,16 +2220,8 @@ def bigram_logprob(
 
         return docs.map_batches(score_direct, batch_format="pandas")
 
-    def _bucket(w1: pd.Series, w2: pd.Series) -> "np.ndarray":
-        joined = (w1 + "\x1f" + w2).to_numpy(dtype=object)
-        return (pd.util.hash_array(joined) % _BG_BUCKETS).astype("int64")
-
     def lp_rows(df: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame(
-            {"bucket": _bucket(df["w1"], df["w2"]), "side": "l",
-             "doc_id": np.int64(-1), "w1": df["w1"], "w2": df["w2"],
-             "cnt": np.int64(0), "lp": df["lp"].astype("int64")}
-        )
+        return df.assign(h=hash_key(df["w1"] + "\x1f" + df["w2"]))
 
     def doc_rows(df: pd.DataFrame) -> pd.DataFrame:
         ids, w1, w2 = _doc_bigrams(df)
@@ -2311,38 +2231,29 @@ def bigram_logprob(
             .size()
             .reset_index(name="cnt")
         )
-        return pd.DataFrame(
-            {"bucket": _bucket(part["w1"], part["w2"]), "side": "d",
-             "doc_id": part["doc_id"].astype("int64"), "w1": part["w1"],
-             "w2": part["w2"], "cnt": part["cnt"].astype("int64"),
-             "lp": np.int64(0)}
-        )
+        return part.assign(h=hash_key(part["w1"] + "\x1f" + part["w2"]))
 
-    both = lp_ds.map_batches(lp_rows, batch_format="pandas").union(
-        docs.map_batches(doc_rows, batch_format="pandas")
-    )
-
-    def score_block(df: pd.DataFrame) -> "pa.Table":
-        d = df[df["side"] == "d"]
-        if len(d) == 0:
-            return pa.table({"doc_id": pa.array([], pa.int64()),
-                             "lp_part": pa.array([], pa.int64()),
-                             "n_part": pa.array([], pa.int64())})
-        lut = df[df["side"] == "l"]
-        m = d.merge(lut[["w1", "w2", "lp"]], on=["w1", "w2"], how="left",
-                    suffixes=("", "_m"))
+    def score_block(p: dict) -> "pa.Table":
+        m = p["d"].merge(p["l"][["w1", "w2", "lp"]], on=["w1", "w2"], how="left")
         # training-corpus scoring: every doc bigram is in the model
-        assert not m["lp_m"].isna().any(), "bigram missing from model"
+        assert not m["lp"].isna().any(), "bigram missing from model"
         part = pd.DataFrame(
             {"doc_id": m["doc_id"].to_numpy(),
-             "lp_part": (m["lp_m"].to_numpy().astype("int64") * m["cnt"].to_numpy()),
+             "lp_part": (m["lp"].to_numpy().astype("int64") * m["cnt"].to_numpy()),
              "n_part": m["cnt"].to_numpy()}
         ).groupby("doc_id", sort=False).sum().reset_index()
         # Arrow block out: the final aggregate has one group per DOC
         return pa.Table.from_pandas(part, preserve_index=False)
 
-    partials = both.sort(["bucket"]).map_batches(
-        score_block, batch_format="pandas", batch_size=None
+    bigram = {"h": "uint64", "w1": "object", "w2": "object"}
+    partials = copartition(
+        {
+            "l": (lp_ds.map_batches(lp_rows, batch_format="pandas"), ["h"],
+                  {**bigram, "lp": "int64"}),
+            "d": (docs.map_batches(doc_rows, batch_format="pandas"), ["h"],
+                  {**bigram, "doc_id": "int64", "cnt": "int64"}),
+        },
+        score_block,
     )
     return (
         partials.groupby("doc_id")
@@ -2472,7 +2383,7 @@ class _RerankStage:
     def __call__(self, df: "pd.DataFrame") -> "pd.DataFrame":
         import numpy as np
 
-        from .sampling import fmix32_np
+        from ..functions.fnv import fmix32_np
 
         rows_q, rows_d, rows_s = [], [], []
         for doc_id, text in zip(df["doc_id"], df["text"]):
@@ -2605,7 +2516,6 @@ def sql_rerank_search(
 
 _PMI_MIN_COUNT = 5
 _PMI_TOPK = 50
-_PMI_BUCKETS = 64
 
 
 def pmi_collocations(sf_dir: str, *, min_count: int = _PMI_MIN_COUNT,
@@ -2620,9 +2530,9 @@ def pmi_collocations(sf_dir: str, *, min_count: int = _PMI_MIN_COUNT,
        partials; one vocab-sized and one bigram-vocab-sized grouped
        exchange build the two count tables (materialized: each feeds two
        consumers — a scalar total and the scoring join).
-    2. the unigram table attaches to the bigram rows by TWO tagged-sides
-       sorted exchanges (key = w1, then w2) with vectorized in-block
-       merges — the vocabulary never leaves the cluster.
+    2. the unigram table attaches to the bigram rows by TWO co-partitioned
+       joins (``util.copartition``, key = hash of w1, then of w2) with
+       vectorized in-block merges — the vocabulary never leaves the cluster.
     3. pmi_micro = round(log2(((c12·N)·N) / ((B·c1)·c2)) · 1e6) as int64,
        with the multiplication order pinned so the IEEE-double value is
        bit-identical to the SQL replay (N = unigram total, B = bigram
@@ -2700,80 +2610,34 @@ def pmi_collocations(sf_dir: str, *, min_count: int = _PMI_MIN_COUNT,
     if n_bg == 0:
         return ray.data.from_pandas(_OUT_EMPTY)
 
-    def _attach(ds_rows, key_col: str, out_col: str, carry: list):
-        """Tagged-sides bucket co-partition: unigram counts onto bigram
-        rows.  The exchange key is hash(word) % B — an int64 sort — not
-        the word itself (a string sort over the bigram table measured
-        ~2x the whole op's useful work); the in-block pandas hash merge
-        on the word is exact."""
+    def _attach(ds_rows, key_col: str, out_col: str, carry: dict):
+        """Unigram counts onto bigram rows by one co-partitioned join.  The
+        exchange key is the word's ``hash_key`` — an integer sort — not the
+        word itself (a string sort over the bigram table measured ~2x the
+        whole op's useful work); the in-block pandas hash merge on the word
+        is exact."""
 
-        def _bkt(keys: pd.Series) -> "np.ndarray":
-            return (
-                pd.util.hash_array(keys.to_numpy(dtype=object)) % _PMI_BUCKETS
-            ).astype("int64")
-
-        tagged_u = uni.map_batches(
-            lambda df: pd.DataFrame(
-                {
-                    "key": df["w"].to_numpy(dtype=object),
-                    "bucket": _bkt(df["w"]),
-                    "uc": df["c"].to_numpy().astype("int64"),
-                    "tag": np.zeros(len(df), dtype="int64"),
-                }
-            ),
-            batch_format="pandas",
-        )
-
-        def tag_rows(df: pd.DataFrame) -> pd.DataFrame:
-            out = df.assign(
-                key=df[key_col].to_numpy(dtype=object),
-                bucket=_bkt(df[key_col]),
-                uc=np.zeros(len(df), dtype="int64"),
-                tag=np.ones(len(df), dtype="int64"),
-            )
-            return out
-
-        tagged_b = ds_rows.map_batches(tag_rows, batch_format="pandas")
-
-        def merge_block(df: pd.DataFrame) -> pd.DataFrame:
-            b = df[df["tag"] == 1]
-            if len(b) == 0:
-                cols = {
-                    c: pd.Series([], dtype="object" if c in ("w1", "w2") else "int64")
-                    for c in carry
-                }
-                cols[out_col] = pd.Series([], dtype="int64")
-                return pd.DataFrame(cols)
-            u = df[df["tag"] == 0].set_index("key")["uc"]
-            out = b[carry].copy()
+        def merge_block(p: dict) -> pd.DataFrame:
+            b = p["b"]
             # training-corpus property: every bigram word exists in uni
-            out[out_col] = b["key"].map(u).to_numpy("int64")
-            return out
+            u = p["u"].set_index("w")["c"]
+            return b[list(carry)].assign(**{out_col: b[key_col].map(u).to_numpy("int64")})
 
-        # union carries heterogeneous cols; normalize both sides first
-        cols = ["key", "bucket", "uc", "tag"] + carry
-        tagged_u = tagged_u.map_batches(
-            lambda df: df.assign(
-                **{
-                    c: pd.Series([""] * len(df), dtype="object")
-                    if c in ("w1", "w2")
-                    else np.int64(0)
-                    for c in carry
-                }
-            )[cols],
-            batch_format="pandas",
-        )
-        tagged_b = tagged_b.map_batches(
-            lambda df: df[cols], batch_format="pandas"
-        )
-        return (
-            tagged_u.union(tagged_b)
-            .sort(["bucket"])  # exactly the group key (colocation invariant)
-            .map_batches(merge_block, batch_format="pandas", batch_size=None)
+        return copartition(
+            {
+                "u": (uni.map_batches(lambda df: df.assign(h=hash_key(df["w"])),
+                                      batch_format="pandas"),
+                      ["h"], {"h": "uint64", "w": "object", "c": "int64"}),
+                "b": (ds_rows.map_batches(lambda df: df.assign(h=hash_key(df[key_col])),
+                                          batch_format="pandas"),
+                      ["h"], {"h": "uint64", **carry}),
+            },
+            merge_block,
         )
 
-    with_c1 = _attach(bg, "w1", "c1", ["w1", "w2", "c12"])
-    with_c2 = _attach(with_c1, "w2", "c2", ["w1", "w2", "c12", "c1"])
+    bg_cols = {"w1": "object", "w2": "object", "c12": "int64"}
+    with_c1 = _attach(bg, "w1", "c1", bg_cols)
+    with_c2 = _attach(with_c1, "w2", "c2", {**bg_cols, "c1": "int64"})
 
     def score_topk(df: pd.DataFrame) -> pd.DataFrame:
         df = df[df["c12"].to_numpy() >= min_count]

@@ -1,11 +1,21 @@
-"""Shared pipeline utilities.
+"""Shared exchange primitives: one key-sorted co-location step.
 
-``grouped_block_map`` is the engine's fast replacement for
-``groupby(keys).map_groups(fn)``: Ray's map_groups is sort + whole-block
-batches with a per-group dispatch that costs ~10ms/group in overhead;
-sorting ourselves and splitting groups with pandas ``groupby`` inside one
-block-level ``map_batches`` keeps the identical grouping guarantee (the
-sort co-locates each key's rows in one block) at ~0.1ms/group.
+``colocate(ds, keys, block_fn)`` is ``ds.sort(keys)`` followed by
+``block_fn`` once per whole sorted block.  Every other keyed exchange in
+the library is built on it:
+
+- ``grouped_block_map`` / ``grouped_block_dedup`` / ``grouped_block_sum``
+  (and ``stages/dedup.dedup_latest``) split or fold groups inside the
+  block — the fast replacement for ``groupby(keys).map_groups(fn)``, whose
+  per-group dispatch costs ~10 ms/group against ~0.1 ms/group here;
+- ``copartition`` is the N-sided join: it tags each side, unions them
+  with one stable schema, co-locates on the JOIN KEY itself and hands
+  ``join_fn`` one ``{side: frame}`` split per block.
+
+The sort runs on the join or group key itself (int keys as they are;
+string keys on their ``hash_key`` uint64, never on the string; salted
+joins on ``(key, salt)``), so the number of blocks — and with it the rows
+per call — is Ray's partition count, which Ray derives from the input.
 
 Why the co-location invariant HOLDS in Ray 2.49.2, structurally — not
 just empirically (tests/test_round4.py pins it with 120k-row hot keys at
@@ -24,20 +34,109 @@ a 64 KiB ``target_max_block_size``):
 3. The downstream ``map_batches(..., batch_size=None)`` consumes whole
    blocks as batches, so no re-chunking can divide a key either.
 
-Consequence: one key's rows always arrive in one batch.  The trade-off is
-that a pathologically hot key produces one oversized block (the reduce
-task must hold it); that is a memory ceiling, not a correctness hazard —
-and the same ceiling applies to Ray's own ``map_groups``.  Ops whose keys
-can grow unboundedly hot (paragraph seeds, join salts) already cap or
-salt them upstream.
+Consequence: one key's rows always arrive in one batch.  The invariant
+holds for the FULL sort tuple only — sorting by ``keys + order`` would let
+one key straddle blocks.  A pathologically hot key produces one oversized
+block (the reduce task must hold it); that is a memory ceiling, not a
+correctness hazard, and the same ceiling applies to Ray's own
+``map_groups``.  Joins whose keys can grow hot salt them (sort on
+``(key, salt)``); ops whose group keys can, cap them upstream.
 """
 
 from __future__ import annotations
 
 from typing import Callable
 
+import numpy as np
 import pandas as pd
 import ray.data
+
+
+def colocate(
+    ds: ray.data.Dataset,
+    keys: list[str],
+    block_fn: Callable[[pd.DataFrame], "pd.DataFrame"],
+) -> ray.data.Dataset:
+    """sort(keys) → ``block_fn`` once per whole block (pandas).  All rows
+    of one key tuple reach the same call (module docstring)."""
+    return ds.sort(keys).map_batches(block_fn, batch_format="pandas", batch_size=None)
+
+
+def hash_key(values) -> np.ndarray:
+    """The uint64 sort key of a string column: equal strings → equal keys,
+    the same in every process (``pd.util.hash_array``'s fixed hash key).
+    An integer sort over these is what co-locates string-keyed joins; the
+    join itself still matches on the string, so a collision only puts two
+    strings in one block."""
+    return pd.util.hash_array(np.asarray(values, dtype=object))
+
+
+_SIDE = "__side"
+
+
+def _fill(dtype: str, n: int) -> np.ndarray:
+    dt = np.dtype(dtype)
+    return np.full(n, None, dtype=object) if dt == object else np.zeros(n, dtype=dt)
+
+
+def copartition(
+    sides: dict[str, tuple[ray.data.Dataset, list[str], dict[str, str]]],
+    join_fn: Callable[[dict[str, pd.DataFrame]], "pd.DataFrame"],
+) -> ray.data.Dataset:
+    """N-sided co-partitioned join: ``join_fn({side: frame})`` once per block.
+
+    ``sides`` maps a side name to ``(dataset, on, {column: dtype})``: the
+    side's join-key columns ``on`` (the same number on every side, the
+    i-th of one dtype across sides) and every column it carries, ``on``
+    included.  Each side's rows are cast to its dtypes, its keys take the
+    shared sort-key names, the columns it lacks are filled (so the union
+    has one schema) and a side tag is added; the union is co-located on the
+    keys.  ``join_fn`` then gets, per block, one frame per side with
+    exactly that side's columns under their own names — empty when the
+    block holds none of the side's rows — and every row of one key tuple,
+    on every side, is in the same call.  It may return pandas or Arrow."""
+    n_keys = len(next(iter(sides.values()))[1])
+    keys = [f"__key{i}" for i in range(n_keys)]
+    cols: dict[str, str] = {}  # union column → dtype
+    renames = []  # per side: own column → union column
+    for name, (_, on, dtypes) in sides.items():
+        if len(on) != n_keys:
+            raise ValueError(f"side {name!r} joins on {len(on)} keys, not {n_keys}")
+        rename = {c: f"{name}.{c}" for c in dtypes} | dict(zip(on, keys))
+        for c, t in dtypes.items():
+            if cols.setdefault(rename[c], t) != t:
+                raise ValueError(f"side {name!r} key {c!r} is {t}, not {cols[rename[c]]}")
+        renames.append(rename)
+    order = list(cols) + [_SIDE]
+
+    def tagger(code: int, dtypes: dict[str, str]):
+        def tag(df: pd.DataFrame) -> pd.DataFrame:
+            out = df[list(dtypes)].astype(dtypes).rename(columns=renames[code])
+            for c, t in cols.items():
+                if c not in out:
+                    out[c] = _fill(t, len(out))
+            out[_SIDE] = np.int8(code)
+            return out[order]
+
+        return tag
+
+    tagged = [
+        ds.map_batches(tagger(code, dtypes), batch_format="pandas")
+        for code, (ds, _, dtypes) in enumerate(sides.values())
+    ]
+    backs = [{u: c for c, u in rename.items()} for rename in renames]
+
+    def block(df: pd.DataFrame):
+        side = df[_SIDE].to_numpy()
+        return join_fn(
+            {
+                name: df.loc[side == code, list(back)].rename(columns=back)
+                .reset_index(drop=True)
+                for code, (name, back) in enumerate(zip(sides, backs))
+            }
+        )
+
+    return colocate(tagged[0].union(*tagged[1:]), keys, block)
 
 
 def grouped_block_map(
@@ -46,7 +145,7 @@ def grouped_block_map(
     group_fn: Callable[[pd.DataFrame], pd.DataFrame],
     drop_singletons: bool = False,
 ) -> ray.data.Dataset:
-    """sort(keys) → per-block pandas groupby → ``group_fn`` per group.
+    """``colocate`` → per-block pandas groupby → ``group_fn`` per group.
 
     ``drop_singletons``: vectorized pre-drop of all single-row groups
     before the per-group loop — for group functions whose output is empty
@@ -71,7 +170,7 @@ def grouped_block_map(
             return pd.concat(outs, ignore_index=True)
         return empty if empty is not None else group_fn(df.iloc[0:0])
 
-    return ds.sort(keys).map_batches(block, batch_format="pandas", batch_size=None)
+    return colocate(ds, keys, block)
 
 
 def grouped_block_dedup(
@@ -83,12 +182,11 @@ def grouped_block_dedup(
 
     ``grouped_block_map(ds, keys, lambda g: g.head(1))`` pays the
     ~0.1 ms/group Python call — ruinous when groups ≈ rows (a 50M-pair
-    dedup measured 80+ minutes in it).  Here the sort is by EXACTLY
-    ``keys`` (the colocation invariant applies to the full sort tuple
-    ONLY — sorting by keys+order would let one key straddle blocks, the
-    memory-note 4× blowup), then each block vectorizes: an in-block
-    ``sort_values(keys + order)`` (complete per key, since the block holds
-    all of the key's rows) followed by ``drop_duplicates(keys)``.
+    dedup measured 80+ minutes in it).  Here the co-location is by EXACTLY
+    ``keys`` (the invariant applies to the full sort tuple only), then each
+    block vectorizes: an in-block ``sort_values(keys + order)`` (complete
+    per key, since the block holds all of the key's rows) followed by
+    ``drop_duplicates(keys)``.
 
     ``order=None``: any of the key's rows may be kept — use only when rows
     of one key are identical.  ``order=[cols]``: the kept row is the
@@ -101,7 +199,7 @@ def grouped_block_dedup(
             df = df.sort_values(keys + order, kind="mergesort")
         return df.drop_duplicates(keys, keep="first")
 
-    return ds.sort(keys).map_batches(block, batch_format="pandas", batch_size=None)
+    return colocate(ds, keys, block)
 
 
 def grouped_block_sum(
@@ -113,10 +211,9 @@ def grouped_block_sum(
     replacement for ``groupby(keys).aggregate(Sum(col))`` when groups are
     many: Ray's aggregate REDUCE step pays a per-key merge loop that
     measured ~1.5 s/task at 50k groups (r5 session 4, events value
-    histogram), while sort(keys) + one vectorized in-block pandas
-    groupby-sum does the identical merge in milliseconds.  The colocation
-    invariant (module docstring) guarantees every key's rows land in one
-    block, so the block-local sum IS the global sum.
+    histogram), while ``colocate`` + one vectorized in-block pandas
+    groupby-sum does the identical merge in milliseconds: every key's rows
+    are in one block, so the block-local sum IS the global sum.
 
     ``sums`` maps input column → output column name.  Use only for
     reorder-safe sums (ints, or floats whose partials are exact — the
@@ -129,4 +226,4 @@ def grouped_block_sum(
         g = df.groupby(keys, as_index=False, sort=False)[cols].sum()
         return g.rename(columns=sums)
 
-    return ds.sort(keys).map_batches(block, batch_format="pandas", batch_size=None)
+    return colocate(ds, keys, block)

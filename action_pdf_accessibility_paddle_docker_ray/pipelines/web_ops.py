@@ -28,6 +28,7 @@ import ray.data
 from .. import ensure_picklable
 from ..sources.pages import read_table
 from .text_ops import STOPWORDS
+from .util import colocate
 
 _FRAG_RE = re.compile(r"#.*$")
 _URL_RE = re.compile(r"^([A-Za-z][A-Za-z0-9+.\-]*)://([^/?]*)([^?]*)(?:\?(.*))?$")
@@ -146,7 +147,7 @@ def url_dedup(sf_dir: str) -> ray.data.Dataset:
     ds = ds.map_batches(partial, batch_format="pandas")
     # sort by EXACTLY the group key: the colocation invariant (util.py)
     # puts every url's partials in one block for the vectorized fold
-    return ds.sort(["url"]).map_batches(fold, batch_format="pandas", batch_size=None)
+    return colocate(ds, ["url"], fold)
 
 
 # canonicalization CTE chain raw(doc_id, url) -> canon(doc_id, url),
@@ -383,9 +384,7 @@ def link_graph(sf_dir: str) -> ray.data.Dataset:
     ds = read_table(sf_dir, "documents", columns=["doc_id", "source", "text"])
     ds = ds.map_batches(partial, batch_format="pandas")
     # sort by EXACTLY the group key (colocation invariant, util.py)
-    return ds.sort(["src_host", "dst_host"]).map_batches(
-        fold, batch_format="pandas", batch_size=None
-    )
+    return colocate(ds, ["src_host", "dst_host"], fold)
 
 
 def sql_link_graph() -> str:
@@ -494,8 +493,7 @@ def _bloom_h12(urls: "pd.Series") -> tuple[np.ndarray, np.ndarray]:
     """(h1, h2) per url: fnv1a32 → fmix32 chain, h2 forced odd — the same
     double-hashing shape as functions/bloom.py but in SQL-replayable
     32-bit arithmetic (pipelines/sql_oracles.py generates fmix32)."""
-    from ..functions.fnv import fnv1a_32
-    from .dedup_ops import fmix32
+    from ..functions.fnv import fmix32, fnv1a_32
 
     h1 = np.fromiter(
         (fmix32(fnv1a_32(u)) for u in urls), dtype=np.int64, count=len(urls)
@@ -945,7 +943,7 @@ _HB_BROADCAST_MAX = 2_000_000  # max boilerplate rows shipped as a dict
 
 
 def _hb_boiler_mask(doc_ids: np.ndarray, j: int) -> np.ndarray:
-    from .sampling import fmix32_np
+    from ..functions.fnv import fmix32_np
 
     h = fmix32_np((doc_ids.astype(np.uint64) * np.uint64(_HB_MUL) + np.uint64(j)) % (1 << 32))
     return (h % np.uint64(100)) < np.uint64(_HB_PCTS[j - 1])
@@ -1026,9 +1024,7 @@ def host_boilerplate(sf_dir: str, *, thresh: int = _HB_THRESH) -> ray.data.Datas
         return df.groupby(["source", "lh"], as_index=False, sort=False)["c"].sum()
 
     # exchange 1: (source, lh) document frequencies
-    freq = freq.sort(["source", "lh"]).map_batches(
-        sum_group, batch_format="pandas", batch_size=None
-    )
+    freq = colocate(freq, ["source", "lh"], sum_group)
 
     def pick_bp(g: pd.DataFrame) -> pd.DataFrame:
         nd = int(g.loc[g["lh"] == "#docs", "c"].iloc[0])
@@ -1103,11 +1099,7 @@ def host_boilerplate(sf_dir: str, *, thresh: int = _HB_THRESH) -> ray.data.Datas
         marked = df.groupby(["source", "lh"], sort=False)["tag"].transform("min")
         return df[(df["tag"] == 1) & (marked == 1)]
 
-    survivors = (
-        occ.union(bp_tagged)
-        .sort(["source", "lh"])
-        .map_batches(drop_marked, batch_format="pandas", batch_size=None)
-    )
+    survivors = colocate(occ.union(bp_tagged), ["source", "lh"], drop_marked)
 
     def rebuild(df: pd.DataFrame) -> pd.DataFrame:
         if len(df) == 0:
@@ -1125,10 +1117,8 @@ def host_boilerplate(sf_dir: str, *, thresh: int = _HB_THRESH) -> ray.data.Datas
         out["doc_id"] = out["doc_id"].astype("int64")
         return out
 
-    kept = (
-        survivors.select_columns(["doc_id", "idx", "line"])
-        .sort(["doc_id"])
-        .map_batches(rebuild, batch_format="pandas", batch_size=None)
+    kept = colocate(
+        survivors.select_columns(["doc_id", "idx", "line"]), ["doc_id"], rebuild
     )
 
     def totals(df: pd.DataFrame) -> pd.DataFrame:
@@ -1178,11 +1168,7 @@ def host_boilerplate(sf_dir: str, *, thresh: int = _HB_THRESH) -> ray.data.Datas
         ],
         batch_format="pandas",
     )
-    return (
-        tot2.union(kept2)
-        .sort(["doc_id"])
-        .map_batches(merge_block, batch_format="pandas", batch_size=None)
-    )
+    return colocate(tot2.union(kept2), ["doc_id"], merge_block)
 
 
 def sql_host_boilerplate(*, thresh: int = _HB_THRESH) -> str:
@@ -1375,14 +1361,13 @@ def sql_host_components() -> str:
 # --- triangle counting over the host link graph -----------------------------
 
 _TRI_BROADCAST_MAX = 2_000_000  # max nodes in the broadcast degree map
-_TRI_BUCKETS = 32
 
 
 def _host_graph(sf_dir: str, broadcast_max: int, edges_ds=None):
     """Shared graph-construction stage for ``host_triangles`` /
     ``host_clustering``: canonical deduped undirected edges, the degree
     table, and the (degree, name)-oriented edge set (broadcast degree
-    attach under the proven bound, else two bucketed tagged-sides joins).
+    attach under the proven bound, else two co-partitioned joins).
     Returns (edges, deg, oriented, n_nodes, n_edges); oriented is None
     when the graph is empty.  ``edges_ds`` injects a raw
     (src_host, dst_host) edge dataset in place of ``link_graph`` —
@@ -1396,16 +1381,15 @@ def _host_graph(sf_dir: str, broadcast_max: int, edges_ds=None):
     any node's out-degree by O(sqrt(m)), so wedge emission is O(m^1.5)
     total even on a star-shaped hot host where naive neighbor-pairing is
     O(deg^2) unbounded.  The degree map attaches by broadcast under a
-    distributed-count-proven bound, else by two bucketed tagged-sides
-    grouped joins (nothing node-shaped on the driver).  Wedges (v, w)
+    distributed-count-proven bound, else by two co-partitioned joins on
+    the node's hash (nothing node-shaped on the driver).  Wedges (v, w)
     from each center u then co-partition with the oriented edges on
     (v, w); a wedge closed by an edge row is exactly one triangle,
     counted once at its (degree, name)-minimal vertex."""
     ensure_picklable()
     import ray
 
-    from ..functions.fnv import fnv1a_32
-    from .util import grouped_block_dedup, grouped_block_map
+    from .util import copartition, grouped_block_dedup, hash_key
 
     def canon(df: pd.DataFrame) -> pd.DataFrame:
         if len(df):
@@ -1456,12 +1440,9 @@ def _host_graph(sf_dir: str, broadcast_max: int, edges_ds=None):
         g = df.groupby("node", as_index=False, sort=False)["c"].sum()
         return pd.DataFrame({"node": g["node"], "deg": g["c"].astype("int64")})
 
-    deg = (
-        edges.map_batches(deg_partial, batch_format="pandas")
-        .sort(["node"])  # exactly the group key (colocation invariant)
-        .map_batches(deg_fold, batch_format="pandas", batch_size=None)
-        .materialize()  # node-cardinality table, two consumers
-    )
+    deg = colocate(
+        edges.map_batches(deg_partial, batch_format="pandas"), ["node"], deg_fold
+    ).materialize()  # node-cardinality table, two consumers
 
     n_nodes = deg.count()
     n_edges = edges.count()
@@ -1498,57 +1479,35 @@ def _host_graph(sf_dir: str, broadcast_max: int, edges_ds=None):
 
         oriented = edges.map_batches(orient_bcast, batch_format="pandas")
     else:
-        # tagged-sides bucketed joins: attach deg(a), then deg(b); the
-        # degree table never leaves the cluster
-        def _bucketize(df: pd.DataFrame, key: str) -> pd.DataFrame:
-            ks = df[key]
-            hmap = {k: fnv1a_32(k) % _TRI_BUCKETS for k in ks.unique()}
-            return df.assign(bucket=ks.map(hmap).astype("int64"))
+        # co-partitioned joins: attach deg(a), then deg(b); the degree
+        # table never leaves the cluster
+        deg_side = (
+            deg.map_batches(lambda df: df.assign(h=hash_key(df["node"])),
+                            batch_format="pandas"),
+            ["h"], {"h": "uint64", "node": "object", "deg": "int64"},
+        )
 
-        def _attach(edges_ds, key, out_col):
-            tagged_e = edges_ds.map_batches(
-                lambda df, key=key: _bucketize(df, key).assign(
-                    node=df[key], deg=np.int64(-1), tag=np.int64(1)
-                ),
-                batch_format="pandas",
+        def _attach(edges_ds, key: str, out_col: str, carry: dict):
+            def join_block(p: dict) -> pd.DataFrame:
+                e = p["e"]
+                d = p["d"].set_index("node")["deg"]
+                return e[list(carry)].assign(
+                    **{out_col: e[key].map(d).fillna(0).astype("int64")}
+                )
+
+            return copartition(
+                {
+                    "e": (edges_ds.map_batches(lambda df: df.assign(h=hash_key(df[key])),
+                                               batch_format="pandas"),
+                          ["h"], {"h": "uint64", **carry}),
+                    "d": deg_side,
+                },
+                join_block,
             )
-            tagged_d = deg.map_batches(
-                lambda df: _bucketize(df, "node").assign(tag=np.int64(0)),
-                batch_format="pandas",
-            )
 
-            def join_bucket(df: pd.DataFrame, out_col=out_col) -> pd.DataFrame:
-                e = df[df["tag"] == 1].drop(columns=["deg", "tag", "bucket"])
-                d = df[df["tag"] == 0][["node", "deg"]]
-                m = e.merge(d, on="node", how="left")
-                m[out_col] = m["deg"].fillna(0).astype("int64")
-                return m.drop(columns=["node", "deg"])
-
-            # union carries heterogeneous extra cols; normalize first
-            cols = ["bucket", "node", "tag", "deg"] + [
-                c for c in ("a", "b", "da") if c in edges_ds.schema().names
-            ]
-            tagged_e = tagged_e.select_columns(cols)
-            tagged_d = tagged_d.map_batches(
-                lambda df, cols=cols: df.assign(
-                    **{
-                        c: pd.Series([""] * len(df), dtype="object")
-                        for c in cols
-                        if c not in df.columns and c in ("a", "b")
-                    },
-                    **{
-                        c: np.int64(0)
-                        for c in cols
-                        if c not in df.columns and c == "da"
-                    },
-                )[cols],
-                batch_format="pandas",
-            )
-            uni = tagged_e.union(tagged_d)
-            return grouped_block_map(uni, ["bucket"], join_bucket)
-
-        with_da = _attach(edges, "a", "da")
-        with_db = _attach(with_da, "b", "db")
+        ab = {"a": "object", "b": "object"}
+        with_da = _attach(edges, "a", "da", ab)
+        with_db = _attach(with_da, "b", "db", {**ab, "da": "int64"})
 
         def orient_join(df: pd.DataFrame) -> pd.DataFrame:
             if len(df) == 0:
@@ -1631,12 +1590,7 @@ def host_triangles(
         t = int(((df["tag"].to_numpy() == 1) & (m.to_numpy() == 0)).sum())
         return pd.DataFrame({"t": pd.Series([t], dtype="int64")})
 
-    tri = (
-        _closure_input(oriented)
-        .sort(["x", "y"])  # exactly the group key (colocation invariant)
-        .map_batches(close_count, batch_format="pandas", batch_size=None)
-        .sum("t")
-    )
+    tri = colocate(_closure_input(oriented), ["x", "y"], close_count).sum("t")
     return pd.DataFrame(
         {
             "n_hosts": pd.Series([int(n_nodes)], dtype="int64"),
@@ -1723,11 +1677,7 @@ def host_clustering(
             }
         )
 
-    tri_parts = (
-        _closure_input(oriented)
-        .sort(["x", "y"])  # exactly the group key (colocation invariant)
-        .map_batches(node_partials, batch_format="pandas", batch_size=None)
-    )
+    tri_parts = colocate(_closure_input(oriented), ["x", "y"], node_partials)
     deg_tagged = deg.map_batches(
         lambda df: pd.DataFrame(
             {
@@ -1763,11 +1713,7 @@ def host_clustering(
         )
 
     # one node-cardinality tagged exchange (colocation invariant on [node])
-    return (
-        tri_parts.union(deg_tagged)
-        .sort(["node"])
-        .map_batches(combine, batch_format="pandas", batch_size=None)
-    )
+    return colocate(tri_parts.union(deg_tagged), ["node"], combine)
 
 
 def sql_host_clustering() -> str:
@@ -2080,9 +2026,7 @@ def page_link_audit(sf_dir: str) -> ray.data.Dataset:
         return g
 
     # sort by EXACTLY the fold key (colocation invariant, util.py)
-    return merged.sort(["host"]).map_batches(
-        host_fold, batch_format="pandas", batch_size=None
-    )
+    return colocate(merged, ["host"], host_fold)
 
 
 def sql_page_link_audit() -> str:

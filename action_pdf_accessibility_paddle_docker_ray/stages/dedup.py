@@ -3,7 +3,7 @@
 Two-level design so the all-to-all shuffle moves as little as possible:
 1. a per-batch combiner (stateless ``map_batches``) drops stale duplicates
    that happen to share a batch — zero shuffle;
-2. ``sort("url")`` + a block-level resolve pass handles the rest — the one
+2. ``colocate`` on url + a block-level resolve pass handles the rest — the one
    unavoidable range exchange, carrying only the columns extraction reads
    (same co-location guarantee as ``groupby().map_groups``, minus its
    ~10 ms/group dispatch).
@@ -20,6 +20,7 @@ import pandas as pd
 import pyarrow as pa
 import ray.data
 
+from ..pipelines.util import colocate
 from ..schemas import EXTRACT_INPUT
 from .fanout import content_key
 
@@ -60,11 +61,9 @@ def dedup_latest(
         return pa.Table.from_pandas(best, schema=schema, preserve_index=False)
 
     ds = ds.map_batches(best_per_url_table, batch_format="pandas")  # combiner, no shuffle
-    # sort + BLOCK-level resolve instead of groupby().map_groups: the sort
-    # gives the same equal-keys-co-located guarantee map_groups relies on,
-    # and best_per_url already resolves every url inside a mixed frame —
-    # this removes map_groups' ~10 ms/group dispatch, which dominated at
+    # co-locate + BLOCK-level resolve instead of groupby().map_groups: the
+    # sort gives the same equal-keys-co-located guarantee map_groups relies
+    # on, and best_per_url already resolves every url inside a mixed frame
+    # — this removes map_groups' ~10 ms/group dispatch, which dominated at
     # 30k+ duplicated urls (measured on the Bloom-route dup corpus)
-    return ds.sort("url").map_batches(
-        best_per_url_table, batch_format="pandas", batch_size=None
-    )
+    return colocate(ds, ["url"], best_per_url_table)

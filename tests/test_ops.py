@@ -6,7 +6,9 @@ import pandas as pd
 import pytest
 
 SF = "/root/testdata/sf0.001"
-TABLES = "customer orders lineitem part events documents embeddings".split()
+TABLES = (
+    "region nation customer supplier orders lineitem part events documents embeddings"
+).split()
 
 
 @pytest.fixture(scope="module")
@@ -43,7 +45,15 @@ def run_pair(ray_session, con, name):
     ["html_extract", "lineitem_agg", "segment_revenue", "exact_dedup",
      "token_count", "events_sessionize", "knn_search", "token_histogram",
      "pii_redact", "paragraph_dedup", "ngram_decontaminate", "video_frame_sample",
-     "audio_window_features", "hash_split", "seeded_shuffle", "bpe_token_count", "stratified_sample", "tfidf_topk", "sequence_pack", "quality_classifier", "kmeans_clusters"],
+     "audio_window_features", "hash_split", "seeded_shuffle", "bpe_token_count", "stratified_sample", "tfidf_topk", "sequence_pack", "quality_classifier", "kmeans_clusters",
+     # co-partitioned exchanges (pipelines/util.copartition) and the
+     # folded part_skyline
+     "orders_lineitem_join", "orders_lineitem_join_salted",
+     "customer_big_orders_left_join", "top_orders_q3", "regional_revenue_q5",
+     "big_order_customers", "dormant_customers", "nation_trade_volume",
+     "unigram_logprob", "substring_dedup", "bigram_logprob", "pmi_collocations",
+     "host_triangles", "host_clustering", "minhash_dedup", "jaccard_pairs",
+     "ppjoin_pairs", "containment_pairs", "part_skyline"],
 )
 def test_sql_checked_op(ray_session, con, name):
     run_pair(ray_session, con, name)

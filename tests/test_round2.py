@@ -163,25 +163,41 @@ def test_label_propagation_chain_converges():
 
 
 def test_simhash_token_hash_matches_sql_kernels():
-    """fnv1a-32 + fmix32 in Python must equal the DuckDB CTE chain the
-    oracle generates."""
+    """fnv1a-32 + fmix32 in Python (scalar and numpy forms) must equal the
+    DuckDB CTE chain the oracle generates."""
     import duckdb
 
-    from action_pdf_accessibility_paddle_docker_ray.functions.fnv import fnv1a_32
-    from action_pdf_accessibility_paddle_docker_ray.pipelines.dedup_ops import (
+    from action_pdf_accessibility_paddle_docker_ray.functions.fnv import (
         fmix32,
+        fmix32_np,
+        fnv1a_32,
+    )
+    from action_pdf_accessibility_paddle_docker_ray.pipelines.dedup_ops import (
         token_hash_pair,
     )
     from action_pdf_accessibility_paddle_docker_ray.pipelines.sql_oracles import (
+        _fmix32_ctes,
         sql_fnv1a32,
     )
 
     con = duckdb.connect()
-    for tok in ["the", "a", "Zürich".encode("ascii", "ignore").decode(), "x" * 40]:
+    toks = ["the", "a", "Zürich".encode("ascii", "ignore").decode(), "x" * 40]
+    for tok in toks:
         sql_h = con.execute(f"SELECT {sql_fnv1a32(repr(tok))}").fetchone()[0]
         assert sql_h == fnv1a_32(tok), tok
     # fmix32 reference values
     assert fmix32(0) == 0
+    vals = [0, 1, 0x7FFFFFFF, 0x80000000, 0xFFFFFFFF] + [fnv1a_32(t) for t in toks]
+    frag, final = _fmix32_ctes("m", "src", ["i"], "h0", "hv")
+    rows = ", ".join(f"({i}, {v})" for i, v in enumerate(vals))
+    sql_mix = [
+        hv for _, hv in con.execute(
+            f"WITH src AS (SELECT i, CAST(v AS BIGINT) AS h0 "
+            f"FROM (VALUES {rows}) t(i, v)), {frag} SELECT i, hv FROM {final} ORDER BY i"
+        ).fetchall()
+    ]
+    assert [fmix32(v) for v in vals] == sql_mix
+    assert fmix32_np(np.array(vals, dtype=np.uint64)).tolist() == sql_mix
     h1, h2 = token_hash_pair("hello")
     assert 0 <= h1 < 2**32 and 0 <= h2 < 2**32
     assert h1 == fmix32(fnv1a_32("hello"))

@@ -590,6 +590,7 @@ def test_sequence_pack_capacity_invariant(ray_session):
 
 
 def test_stratified_sample_nested_and_deterministic(ray_session):
+    from action_pdf_accessibility_paddle_docker_ray.functions.fnv import fmix32_np
     from action_pdf_accessibility_paddle_docker_ray.pipelines import sampling
 
     a = sampling.stratified_sample(SF).to_pandas().sort_values("doc_id")
@@ -600,7 +601,7 @@ def test_stratified_sample_nested_and_deterministic(ray_session):
     # nested-samples property: every doc kept at rate r survives at any
     # higher rate (hash threshold is monotone), checked per stratum
     full = pd.read_parquet(f"{SF}/documents.parquet", columns=["doc_id", "lang"])
-    h = sampling.fmix32_np(
+    h = fmix32_np(
         full["doc_id"].to_numpy().astype(np.uint64) % (1 << 32)
         ^ np.uint64(sampling._SAMPLE_SEED)
     ) % np.uint32(10000)

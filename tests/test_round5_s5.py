@@ -460,9 +460,7 @@ def test_events_late_window_matches_sequential_replay(ray_session):
         _LW_WINDOW_US,
         events_late_window,
     )
-    from action_pdf_accessibility_paddle_docker_ray.pipelines.sampling import (
-        fmix32_np,
-    )
+    from action_pdf_accessibility_paddle_docker_ray.functions.fnv import fmix32_np
 
     ev = pd.read_parquet(
         f"{SF}/events.parquet", columns=["event_id", "ts", "value"]

@@ -637,9 +637,11 @@ def _cluster_pairs_ds(
     only one SCALAR per round (the changed-label count, a distributed
     ``sum``) to test convergence.
 
-    Each round is two grouped exchanges over (node, peer, label) rows:
-    every node's current label flows to its neighbours, and each node
-    adopts the minimum label seen.  On top of plain one-hop flooding the
+    Each round is two exchanges on node, each one vectorized pandas pass
+    per block: edge, jump and state rows co-partition
+    (``util.copartition``) and every node's current label flows to its
+    neighbours; then the flowed rows co-locate and each node adopts the
+    minimum label seen.  On top of plain one-hop flooding the
     round also flows along *jump edges* ``label(n) → n`` derived from the
     current state — pointer doubling, so a path-shaped component of
     diameter d converges in O(log d) rounds instead of O(d) (cf. the
@@ -659,94 +661,70 @@ def _cluster_pairs_ds(
     def edge_rows(df: pd.DataFrame) -> pd.DataFrame:
         a = df["a"].to_numpy(dtype=np.int64)
         b = df["b"].to_numpy(dtype=np.int64)
-        return pd.DataFrame(
-            {
-                "node": np.concatenate([a, b]),
-                "peer": np.concatenate([b, a]),
-                "label": np.full(2 * len(df), -1, dtype=np.int64),
-            }
-        )
+        return pd.DataFrame({"node": np.concatenate([a, b]), "peer": np.concatenate([b, a])})
 
     edges = pair_ds.map_batches(edge_rows, batch_format="pandas").materialize()
     # Block-count discipline (same rule as pagerank, memory note + VERDICT
     # r3): a sort emits as many partitions as input blocks, and each round
-    # unions edges + 2×labels, so WITHOUT a fixed repartition the label
-    # block count doubles per round (1→3→7→…) and later rounds drown in
-    # per-block scheduling (measured: one round = minutes at toy scale).
+    # co-partitions edges + 2×labels, so WITHOUT a fixed repartition the
+    # label block count doubles per round (1→3→7→…) and later rounds drown
+    # in per-block scheduling (measured: one round = minutes at toy scale).
     # Rows ∝ nodes, so blocks = rows/250k keeps every round's task count
     # proportional to data, not to the round number.
     n_blocks = max(1, edges.count() // 250_000)
     edges = edges.repartition(n_blocks).materialize()
 
-    def init_state(g: pd.DataFrame) -> pd.DataFrame:
-        node = int(g["node"].iloc[0])
-        return pd.DataFrame(
-            {"node": [node], "label": [node], "changed": [np.int64(1)]}
-        ).astype("int64")
+    def init_state(df: pd.DataFrame) -> pd.DataFrame:
+        node = df["node"].drop_duplicates().to_numpy(dtype=np.int64)
+        return pd.DataFrame({"node": node, "label": node, "changed": np.int64(1)})
 
-    labels = grouped_block_map(edges, ["node"], init_state).materialize()
-
-    def state_rows(df: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame(
-            {
-                "node": df["node"].to_numpy(dtype=np.int64),
-                "peer": np.full(len(df), -1, dtype=np.int64),
-                "label": df["label"].to_numpy(dtype=np.int64),
-            }
-        )
+    labels = colocate(edges, ["node"], init_state).materialize()
 
     def jump_rows(df: pd.DataFrame) -> pd.DataFrame:
         node = df["node"].to_numpy(dtype=np.int64)
         lab = df["label"].to_numpy(dtype=np.int64)
         m = lab != node
+        return pd.DataFrame({"node": lab[m], "peer": node[m]})
+
+    def flow(p: dict) -> pd.DataFrame:
+        # each node's label flows to its distinct edge and jump peers, and
+        # back to itself (is_self) so the reduce can tell a change
+        state = p["s"]
+        nbr = pd.concat([p["e"], p["j"]], ignore_index=True).drop_duplicates()
+        out = nbr.merge(state, on="node")
         return pd.DataFrame(
             {
-                "node": lab[m],
-                "peer": node[m],
-                "label": np.full(int(m.sum()), -1, dtype=np.int64),
+                "node": np.concatenate([out["peer"].to_numpy(), state["node"].to_numpy()]),
+                "label": np.concatenate([out["label"].to_numpy(), state["label"].to_numpy()]),
+                "is_self": np.repeat(np.array([0, 1], dtype=np.int64), [len(out), len(state)]),
+            }
+        ).astype("int64")
+
+    def reduce_min(df: pd.DataFrame) -> pd.DataFrame:
+        new = df.groupby("node", sort=False)["label"].min()
+        own = df[df["is_self"] == 1].set_index("node")["label"]
+        old = own.reindex(new.index).fillna(new)
+        return pd.DataFrame(
+            {
+                "node": new.index.to_numpy(dtype=np.int64),
+                "label": new.to_numpy(dtype=np.int64),
+                "changed": (new != old).to_numpy(dtype=np.int64),
             }
         )
 
-    def flow(df: pd.DataFrame) -> pd.DataFrame:
-        # rows of one node: its state row (peer == -1) + its edge/jump rows
-        lab_rows = df.loc[df["peer"] == -1, "label"]
-        if len(lab_rows) == 0:  # edge rows without state (cannot happen)
-            return pd.DataFrame(
-                {
-                    "node": pd.Series([], dtype="int64"),
-                    "label": pd.Series([], dtype="int64"),
-                    "is_self": pd.Series([], dtype="int64"),
-                }
-            )
-        label = int(lab_rows.min())
-        peers = np.unique(df.loc[df["peer"] >= 0, "peer"].to_numpy(dtype=np.int64))
-        nodes = np.r_[peers, [np.int64(df["node"].iloc[0])]]
-        is_self = np.zeros(len(nodes), dtype=np.int64)
-        is_self[-1] = 1
-        return pd.DataFrame(
-            {"node": nodes, "label": np.int64(label), "is_self": is_self}
-        ).astype("int64")
-
-    def reduce_min(g: pd.DataFrame) -> pd.DataFrame:
-        new = int(g["label"].min())
-        own = g.loc[g["is_self"] == 1, "label"]
-        old = int(own.iloc[0]) if len(own) else new
-        return pd.DataFrame(
-            {
-                "node": [int(g["node"].iloc[0])],
-                "label": [new],
-                "changed": [np.int64(new != old)],
-            }
-        ).astype("int64")
-
+    pair = {"node": "int64", "peer": "int64"}
     converged = False
     for _ in range(max_iters):
-        state = labels.map_batches(state_rows, batch_format="pandas")
-        jumps = labels.map_batches(jump_rows, batch_format="pandas")
-        both = edges.union(jumps).union(state)
-        flowed = grouped_block_map(both, ["node"], flow)
+        flowed = copartition(
+            {
+                "e": (edges, ["node"], pair),
+                "j": (labels.map_batches(jump_rows, batch_format="pandas"), ["node"], pair),
+                "s": (labels, ["node"], {"node": "int64", "label": "int64"}),
+            },
+            flow,
+        )
         labels = (
-            grouped_block_map(flowed, ["node"], reduce_min)
+            colocate(flowed, ["node"], reduce_min)
             .repartition(n_blocks)  # cap block growth (see edges comment)
             .materialize()
         )
@@ -903,14 +881,14 @@ def minhash_dedup(
 
 
 # Drop sets at or below this broadcast as a frozenset via ray.put; above it
-# the filter becomes a grouped anti-join and the drop set never leaves the
+# the filter becomes a co-partitioned anti-join and the drop set never leaves the
 # object store (a 20x-replicated corpus makes the drop set ~corpus-sized).
 _DROP_BROADCAST_MAX = 5_000_000
 
 
 def dedup_corpus(
     sf_dir: str, *, num_perm: int = 126, bands: int = 42, threshold: float = 0.7,
-    shingle_k: int = 5, drop_broadcast_max: int = _DROP_BROADCAST_MAX,
+    shingle_k: int = 5,
 ) -> "ray.data.Dataset":
     """The actual corpus-dedup step a training pipeline runs: keep every
     document that is either not near-duplicated or is its cluster's
@@ -918,13 +896,12 @@ def dedup_corpus(
 
     The drop set is the clustered non-representatives — normally
     output-sized (bounded by the duplicate count), so below
-    ``drop_broadcast_max`` it broadcasts via ``ray.put`` and the corpus
+    ``_DROP_BROADCAST_MAX`` it broadcasts via ``ray.put`` and the corpus
     filter is a streaming map_batches.  A distributed count (scalar)
     decides; above the bound (extreme duplicate rates, where "output-
-    sized" approaches corpus-sized) the filter switches to a grouped
-    anti-join on doc_id — tagged sides, one exchange, nothing id-shaped
-    on the driver (round 4: this switch used to be documented but not
-    implemented)."""
+    sized" approaches corpus-sized) the filter switches to a
+    co-partitioned anti-join on doc_id (``_drop_ids``) — one exchange,
+    nothing id-shaped on the driver."""
     import ray
 
     comp = minhash_dedup_components_ds(
@@ -940,7 +917,7 @@ def dedup_corpus(
     n_drop = drop_ds.count()
     docs = read_table(sf_dir, "documents", columns=["doc_id"])
 
-    if n_drop <= drop_broadcast_max:
+    if n_drop <= _DROP_BROADCAST_MAX:
         drop = frozenset(
             int(d) for d in drop_ds.to_pandas().get("doc_id", pd.Series([], dtype="int64"))
         )
@@ -1346,7 +1323,7 @@ def sql_dup_components(max_hamming: int = 3) -> str:
 
 def keep_best_drop_ds(
     sf_dir: str, *, num_perm: int = 126, bands: int = 42, threshold: float = 0.7,
-    shingle_k: int = 5, drop_broadcast_max: int = _DROP_BROADCAST_MAX,
+    shingle_k: int = 5,
 ) -> "ray.data.Dataset | None":
     """The (doc_id,) DROP set of ``dedup_keep_best`` — every cluster
     member except its per-cluster argmax(n_chars DESC, doc_id) winner —
@@ -1364,7 +1341,7 @@ def keep_best_drop_ds(
     n_comp = comp.count()  # scalar
     if n_comp == 0:
         return None
-    if n_comp <= drop_broadcast_max:
+    if n_comp <= _DROP_BROADCAST_MAX:
         comp_df = comp.to_pandas()
         rep_ref = ray.put(
             dict(zip(comp_df["doc_id"].astype(int), comp_df["rep_id"].astype(int)))
@@ -1417,7 +1394,7 @@ def keep_best_drop_ds(
 
 def dedup_keep_best(
     sf_dir: str, *, num_perm: int = 126, bands: int = 42, threshold: float = 0.7,
-    shingle_k: int = 5, drop_broadcast_max: int = _DROP_BROADCAST_MAX,
+    shingle_k: int = 5,
 ) -> "ray.data.Dataset":
     """Fuzzy dedup with KEEP-BEST selection: within each near-dup cluster
     keep the highest-quality member — here the longest document
@@ -1427,7 +1404,7 @@ def dedup_keep_best(
     crawl of the content, not the lowest-numbered one).
 
     Scale plan: the (doc_id, rep_id) cluster table is output-sized;
-    under ``drop_broadcast_max`` it broadcasts via ``ray.put`` and one
+    under ``_DROP_BROADCAST_MAX`` it broadcasts via ``ray.put`` and one
     streaming pass over the corpus emits the clustered docs' (rep_id,
     doc_id, n_chars) rows — cluster-table-sized, never corpus-sized —
     into ONE grouped exchange whose per-cluster argmax picks winners
@@ -1444,14 +1421,14 @@ def dedup_keep_best(
 
     drop_ds = keep_best_drop_ds(
         sf_dir, num_perm=num_perm, bands=bands, threshold=threshold,
-        shingle_k=shingle_k, drop_broadcast_max=drop_broadcast_max,
+        shingle_k=shingle_k,
     )
     if drop_ds is None:  # no clusters (or empty shard): every doc survives
         return read_table(sf_dir, "documents", columns=["doc_id"])
     n_drop = drop_ds.count()
     ids = read_table(sf_dir, "documents", columns=["doc_id"])
 
-    if n_drop <= drop_broadcast_max:
+    if n_drop <= _DROP_BROADCAST_MAX:
         drop = frozenset(
             int(d)
             for d in drop_ds.to_pandas().get("doc_id", pd.Series([], dtype="int64"))
@@ -1527,8 +1504,7 @@ def incremental_fuzzy_drop_ds(
 
 def incremental_fuzzy_dedup(
     sf_dir: str, *, num_perm: int = 126, bands: int = 42, threshold: float = 0.7,
-    shingle_k: int = 5, drop_broadcast_max: int = _DROP_BROADCAST_MAX,
-    spanning_cap: int | None = _SPANNING_CAP,
+    shingle_k: int = 5, spanning_cap: int | None = _SPANNING_CAP,
 ) -> "ray.data.Dataset":
     """Incremental NEAR-dup screening of a new crawl against the kept
     corpus — the fuzzy sibling of ``text_ops.incremental_dedup`` (exact
@@ -1545,7 +1521,7 @@ def incremental_fuzzy_dedup(
     space — never pays verification here; internal new-side near-dups
     are ``dedup_corpus``'s job on the surviving half.  The drop set
     (new ids with a verified existing near-dup) is output-sized:
-    broadcast under ``drop_broadcast_max``, else a co-partitioned
+    broadcast under ``_DROP_BROADCAST_MAX``, else a co-partitioned
     anti-join (``_drop_ids``).  Output: (doc_id,) of surviving new-crawl documents.
     """
     import ray
@@ -1570,7 +1546,7 @@ def incremental_fuzzy_dedup(
         new_side, batch_format="pandas"
     )
 
-    if n_drop <= drop_broadcast_max:
+    if n_drop <= _DROP_BROADCAST_MAX:
         drop = frozenset(
             int(d)
             for d in drop_ds.to_pandas().get("doc_id", pd.Series([], dtype="int64"))

@@ -372,16 +372,14 @@ def repetition_stats(sf_dir: str) -> ray.data.Dataset:
 _VOCAB_BROADCAST_MAX = 1_000_000
 
 
-def unigram_logprob(
-    sf_dir: str, *, vocab_broadcast_max: int | None = None
-) -> ray.data.Dataset:
+def unigram_logprob(sf_dir: str) -> ray.data.Dataset:
     """Unigram language-model scoring — the classic cheap quality signal.
 
     Phase 1 (both paths): global token counts via per-batch combiners + one
     grouped exchange — the DISTRIBUTED vocabulary.  The driver then learns
     only the vocabulary SIZE and the total token count (scalar aggregates):
 
-    - vocabulary ≤ ``vocab_broadcast_max``: materialize it (proven
+    - vocabulary ≤ ``_VOCAB_BROADCAST_MAX``: materialize it (proven
       bounded), broadcast the {token: micro-logprob} dict once
       (``ray.put``), score each batch in place — zero further exchanges.
     - larger: the open-web path.  Per-token logprobs stay a DATASET;
@@ -398,8 +396,6 @@ def unigram_logprob(
     import ray
 
     from ray.data.aggregate import Sum
-
-    max_b = _VOCAB_BROADCAST_MAX if vocab_broadcast_max is None else vocab_broadcast_max
 
     def partial_counts(df: pd.DataFrame) -> "pa.Table":
         # Arrow block out — same ~8x aggregate win as token_histogram
@@ -423,7 +419,7 @@ def unigram_logprob(
     n_vocab = vocab_ds.count()
     docs = read_table(sf_dir, "documents", columns=["doc_id", "text"])
 
-    if n_vocab <= max_b:
+    if n_vocab <= _VOCAB_BROADCAST_MAX:
         vocab = vocab_ds.to_pandas()  # proven bounded before materializing
         lp_micro = np.round(np.log2(vocab["n"].to_numpy() / total) * 1e6).astype("int64")
         lp_ref = ray.put(dict(zip(vocab["token"], lp_micro)))
@@ -530,8 +526,8 @@ def tfidf_topk(sf_dir: str) -> ray.data.Dataset:
     """Per-doc top-3 terms by tf * ((n_docs * 1e6) // df), ties → token asc.
 
     Stages: explode → tf rows (materialized once, consumed twice) →
-    df via combiner + groupby(token) → co-partitioned idf⋈tf join → per-doc
-    top-k.  Returns (doc_id, rk, token, score)."""
+    df via combiner + groupby(token) → co-partitioned idf⋈tf join → one
+    in-block top-k sort per doc_id block.  Returns (doc_id, rk, token, score)."""
     ensure_picklable()
     import numpy as np
 
@@ -600,18 +596,20 @@ def tfidf_topk(sf_dir: str) -> ray.data.Dataset:
         join_block,
     )
 
-    def topk(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(
-            ["score", "token"], ascending=[False, True], kind="mergesort"
-        ).head(_TFIDF_K)
+    def topk(df: pd.DataFrame) -> pd.DataFrame:
+        # every scored row of a doc is in this block: one in-block sort
+        # ranks all of its docs at once
+        top = df.sort_values(
+            ["doc_id", "score", "token"], ascending=[True, False, True], kind="mergesort"
+        ).groupby("doc_id", sort=False).head(_TFIDF_K)
         return pd.DataFrame(
-            {"doc_id": g["doc_id"].to_numpy(),
-             "rk": np.arange(1, len(g) + 1, dtype="int64"),
-             "token": g["token"].to_numpy(),
-             "score": g["score"].to_numpy().astype("int64")}
+            {"doc_id": top["doc_id"].to_numpy(),
+             "rk": top.groupby("doc_id", sort=False).cumcount().to_numpy("int64") + 1,
+             "token": top["token"].to_numpy(),
+             "score": top["score"].to_numpy().astype("int64")}
         )
 
-    return grouped_block_map(scored, ["doc_id"], topk)
+    return colocate(scored, ["doc_id"], topk)
 
 
 def sql_tfidf_topk() -> str:
@@ -723,24 +721,20 @@ def _para_explode(df: pd.DataFrame) -> pd.DataFrame:
             "para": paras,
             "doc_id": pd.Series(doc_ids, dtype="int64"),
             "i": pd.Series(idxs, dtype="int64"),
-            "n_paras": pd.Series([0] * len(paras), dtype="int64"),
         }
     )
 
 
 def _para_seeds(df: pd.DataFrame) -> pd.DataFrame:
-    # one row per doc (i = -1) carrying its total chunk count, so
-    # fully-deduped and empty docs still get an output row.  Seeds skip
-    # the para exchange entirely — routing them through it would pile
-    # every doc into one degenerate "" group (hot key).
+    # one row per doc carrying its total chunk count, so fully-deduped
+    # and empty docs still get an output row.  Seeds skip the para
+    # exchange entirely.
     counts = [
         -(-len(re.findall(_TOKEN_RE, t)) // _PARA_TOKENS) for t in df["text"]
     ]
     return pd.DataFrame(
         {
-            "para": [""] * len(df),
             "doc_id": df["doc_id"].astype("int64").to_numpy(),
-            "i": pd.Series([-1] * len(df), dtype="int64"),
             "n_paras": pd.Series(counts, dtype="int64"),
         }
     )
@@ -754,55 +748,64 @@ def _para_combiner(df: pd.DataFrame) -> pd.DataFrame:
     return out.groupby("para", sort=False).head(1).drop(columns="_k")
 
 
-def _para_winner(g: pd.DataFrame) -> pd.DataFrame:
-    import numpy as np
-
-    key = g["doc_id"].to_numpy() * _PARA_KEY_MUL + g["i"].to_numpy()
-    return g.iloc[[int(np.argmin(key))]]
-
-
-def _para_assemble(g: pd.DataFrame) -> pd.DataFrame:
-    kept = g[g["i"] >= 0].sort_values("i", kind="mergesort")
-    seed = g[g["i"] < 0]
+def _para_assemble(p: dict) -> pd.DataFrame:
+    """One ``paragraph_assemble`` block: each seed doc's winning
+    paragraphs rejoin in position order."""
+    kept = p["w"].sort_values(["doc_id", "i"], kind="mergesort")
+    g = (kept["para"] + " ").groupby(kept["doc_id"], sort=False)
+    seeds = p["s"]
     return pd.DataFrame(
         {
-            "doc_id": [int(g["doc_id"].iloc[0])],
-            "text_dedup": [" ".join(kept["para"])],
-            "n_paras": [int(seed["n_paras"].iloc[0]) if len(seed) else 0],
-            "n_kept": [len(kept)],
+            "doc_id": seeds["doc_id"].astype("int64"),
+            "text_dedup": seeds["doc_id"].map(g.sum().str[:-1]).fillna("").astype(object),
+            "n_paras": seeds["n_paras"].astype("int64"),
+            "n_kept": seeds["doc_id"].map(g.size()).fillna(0).astype("int64"),
         }
     )
 
 
 def paragraph_winners(docs: ray.data.Dataset) -> ray.data.Dataset:
     """The expensive global phase of paragraph dedup: occurrence explode →
-    per-batch min-key combiner → one grouped exchange on ``para`` picking
-    the global min-key winner.  Split out so the resumable runner
+    per-batch min-key combiner → one grouped exchange on ``para`` keeping
+    the global min-(doc_id, i) winner.  Split out so the resumable runner
     (``state/op_resume.py``) can checkpoint its result as parquet."""
     occ = docs.map_batches(_para_explode, batch_format="pandas")
     occ = occ.map_batches(_para_combiner, batch_format="pandas")
-    return grouped_block_map(occ, ["para"], _para_winner)
+    return grouped_block_dedup(occ, ["para"], order=["doc_id", "i"])
+
+
+def paragraph_assemble(winners: ray.data.Dataset, seeds: ray.data.Dataset) -> ray.data.Dataset:
+    """Winner paragraphs ⋈ per-doc seed rows, co-partitioned on doc_id
+    (``util.copartition``) → (doc_id, text_dedup, n_paras, n_kept)."""
+    return copartition(
+        {
+            "s": (seeds, ["doc_id"], {"doc_id": "int64", "n_paras": "int64"}),
+            "w": (winners, ["doc_id"], {"doc_id": "int64", "i": "int64", "para": "object"}),
+        },
+        _para_assemble,
+    )
 
 
 def paragraph_dedup(sf_dir: str) -> ray.data.Dataset:
     """Corpus-wide exact paragraph dedup with per-doc reassembly.
 
     Fully distributed — nothing paragraph-shaped touches the driver:
-    1. explode docs into (para, doc_id, i, key) occurrence rows, plus one
-       seed row per doc carrying its total chunk count (so fully-deduped
-       and empty docs still get an output row);
+    1. explode docs into (para, doc_id, i) occurrence rows, plus one seed
+       row per doc carrying its total chunk count (so fully-deduped and
+       empty docs still get an output row);
     2. per-batch combiner keeps only the batch-local min-key occurrence of
        each para (drops most duplicates before the exchange);
-    3. one grouped exchange on ``para`` picks the global min-key winner;
-    4. one grouped exchange on ``doc_id`` reassembles winners in position
-       order → (doc_id, text_dedup, n_paras, n_kept).
+    3. one grouped exchange on ``para`` keeps the global min-key winner;
+    4. one co-partitioned exchange on ``doc_id`` joins winners to seeds
+       and reassembles them in position order →
+       (doc_id, text_dedup, n_paras, n_kept).
     """
     ensure_picklable()
 
     docs = read_table(sf_dir, "documents", columns=["doc_id", "text"])
-    winners = paragraph_winners(docs)
-    seed_ds = docs.map_batches(_para_seeds, batch_format="pandas")
-    return grouped_block_map(winners.union(seed_ds), ["doc_id"], _para_assemble)
+    return paragraph_assemble(
+        paragraph_winners(docs), docs.map_batches(_para_seeds, batch_format="pandas")
+    )
 
 
 def sql_paragraph_dedup() -> str:
@@ -1289,9 +1292,7 @@ def subdup_scrub_df(df: pd.DataFrame, dup: dict) -> pd.DataFrame:
     return _subdup_rows(ids, texts, n_toks, n_rm)
 
 
-def substring_dedup(
-    sf_dir: str, *, dup_broadcast_max: int | None = None
-) -> ray.data.Dataset:
+def substring_dedup(sf_dir: str) -> ray.data.Dataset:
     """Cross-document exact substring dedup, keep-one (min doc_id) — see
     module comment above for semantics and the two physical plans.
     Output: (doc_id, text_deduped, n_tokens, n_removed); ``text_deduped``
@@ -1300,7 +1301,6 @@ def substring_dedup(
     import numpy as np
     import ray
 
-    max_b = _SUBDUP_BROADCAST_MAX if dup_broadcast_max is None else dup_broadcast_max
     k = _SUBDUP_K
     docs = read_table(sf_dir, "documents", columns=["doc_id", "text"])
 
@@ -1310,7 +1310,7 @@ def substring_dedup(
 
     _rows = _subdup_rows
 
-    if n_dup <= max_b:
+    if n_dup <= _SUBDUP_BROADCAST_MAX:
         dup_df = dups.to_pandas()  # proven bounded before materializing
         dup_ref = ray.put(dict(zip(dup_df["h"], dup_df["keeper"].astype(int))))
 
@@ -2087,9 +2087,7 @@ def sql_bpe_train(n_merges: int = _BPE_MERGES) -> str:
 _BG_BROADCAST_MAX = 1_000_000  # bigram-model rows provably safe to broadcast
 
 
-def bigram_logprob(
-    sf_dir: str, *, model_broadcast_max: int | None = None
-) -> ray.data.Dataset:
+def bigram_logprob(sf_dir: str) -> ray.data.Dataset:
     """Bigram language-model scoring — fit an add-one-smoothed bigram LM on
     the corpus, score every document under it (the perplexity-style
     quality filter of CCNet / Wenzek et al. 2020, with the KenLM model
@@ -2110,7 +2108,7 @@ def bigram_logprob(
        lp = round(log2((c12+1)/(c1+V)) * 1e6) as int64.
     4. score.  Auto-switch on a distributed model-row count (the
        ``unigram_logprob`` pattern): a model proven ≤
-       ``model_broadcast_max`` rows broadcasts its {(w1,w2): lp} dict
+       ``_BG_BROADCAST_MAX`` rows broadcasts its {(w1,w2): lp} dict
        once via ``ray.put`` and every batch scores in place — zero
        further exchanges; a larger model takes the open-web path —
        doc-side (doc_id, w1, w2, cnt) partials co-partition with the lp
@@ -2186,8 +2184,7 @@ def bigram_logprob(
 
     lp_ds = colocate(model, ["w1"], lp_block)
 
-    max_b = _BG_BROADCAST_MAX if model_broadcast_max is None else model_broadcast_max
-    if model.count() <= max_b:  # distributed count proves the bound FIRST
+    if model.count() <= _BG_BROADCAST_MAX:  # distributed count proves the bound FIRST
         import ray
 
         lp_df = lp_ds.to_pandas()

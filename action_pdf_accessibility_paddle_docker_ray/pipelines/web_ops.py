@@ -28,7 +28,7 @@ import ray.data
 from .. import ensure_picklable
 from ..sources.pages import read_table
 from .text_ops import STOPWORDS
-from .util import colocate
+from .util import colocate, copartition, hash_key
 
 _FRAG_RE = re.compile(r"#.*$")
 _URL_RE = re.compile(r"^([A-Za-z][A-Za-z0-9+.\-]*)://([^/?]*)([^?]*)(?:\?(.*))?$")
@@ -521,14 +521,14 @@ def bloom_screen(sf_dir: str, *, m_bits: int | None = None) -> ray.data.Dataset:
     Scale design: build = per-batch distinct probe positions → one
     grouped dedup exchange BOUNDED BY m (never by corpus size) → the
     ≤ m-bit bitmap broadcasts once via ray.put; screen = pure map over
-    the new half; exact verify = tagged grouped join on url that carries
-    ONLY Bloom-positive new rows plus per-batch-distinct existing urls —
-    the novel-url stream (the big one on a real frontier) never
-    exchanges."""
+    the new half; exact verify = one co-partitioned join on the url's
+    hash (``util.copartition``) that carries ONLY Bloom-positive new rows
+    plus per-batch-distinct existing urls, matched on the url itself — the
+    novel-url stream (the big one on a real frontier) never exchanges."""
     ensure_picklable()
     import ray
 
-    from .util import grouped_block_dedup, grouped_block_map
+    from .util import grouped_block_dedup
 
     m = _BLOOM_M_BITS if m_bits is None else m_bits
 
@@ -593,37 +593,29 @@ def bloom_screen(sf_dir: str, *, m_bits: int | None = None) -> ray.data.Dataset:
 
     # exact verify: Bloom-positive new rows ⋈ per-batch-distinct existing urls
     def existing_urls(df: pd.DataFrame) -> pd.DataFrame:
-        d = df[df["doc_id"] < split]
-        return pd.DataFrame(
-            {"url": pd.Series(d["url"].unique(), dtype=object),
-             "doc_id": np.int64(-1), "maybe_seen": np.int64(-1)}
+        urls = df.loc[df["doc_id"] < split, "url"].unique()
+        return pd.DataFrame({"h": hash_key(urls), "url": urls})
+
+    def positives(df: pd.DataFrame) -> pd.DataFrame:
+        d = df[df["maybe_seen"] == 1]
+        return d.assign(h=hash_key(d["url"]))
+
+    def verify(p: dict) -> pd.DataFrame:
+        new = p["new"]
+        return new[["doc_id", "url", "maybe_seen"]].assign(
+            is_seen=new["url"].isin(p["old"]["url"]).to_numpy("int64")
         )
 
-    positives = screened.map_batches(
-        lambda df: df[df["maybe_seen"] == 1], batch_format="pandas"
+    verified = copartition(
+        {
+            "new": (screened.map_batches(positives, batch_format="pandas"), ["h"],
+                    {"h": "uint64", "doc_id": "int64", "url": "object",
+                     "maybe_seen": "int64"}),
+            "old": (canon.map_batches(existing_urls, batch_format="pandas"), ["h"],
+                    {"h": "uint64", "url": "object"}),
+        },
+        verify,
     )
-    tagged = positives.union(
-        canon.map_batches(existing_urls, batch_format="pandas")
-    )
-
-    def verify(g: pd.DataFrame) -> pd.DataFrame:
-        new = g[g["doc_id"] >= 0]
-        if len(new) == 0:
-            return pd.DataFrame(
-                {"doc_id": pd.Series([], dtype="int64"),
-                 "url": pd.Series([], dtype=object),
-                 "maybe_seen": pd.Series([], dtype="int64"),
-                 "is_seen": pd.Series([], dtype="int64")}
-            )
-        seen = np.int64(1) if (g["doc_id"] < 0).any() else np.int64(0)
-        return pd.DataFrame(
-            {"doc_id": new["doc_id"].to_numpy(),
-             "url": new["url"].to_numpy(object),
-             "maybe_seen": new["maybe_seen"].to_numpy(),
-             "is_seen": seen}
-        )
-
-    verified = grouped_block_map(tagged, ["url"], verify)
 
     # Bloom misses are PROVEN unseen: no exchange, is_seen = 0
     misses = screened.map_batches(
@@ -969,9 +961,9 @@ def host_boilerplate(sf_dir: str, *, thresh: int = _HB_THRESH) -> ray.data.Datas
     ``_HB_BROADCAST_MAX`` the (source, line_md5) set broadcasts via
     ``ray.put`` and every doc scrubs in a streaming pass with zero
     further exchange; above it, occurrence rows and boilerplate rows
-    co-partition in a tagged-sides grouped join, and survivors group again
-    per doc_id (sort on exactly [doc_id] — the colocation invariant) to
-    rebuild the text, with nothing line-shaped on the driver.
+    co-partition on (source, lh) (``util.copartition``), and the
+    surviving lines co-partition with the per-doc line totals on doc_id
+    to rebuild the text, with nothing line-shaped on the driver.
 
     Output: (doc_id, text, n_lines, n_removed) — clean text preserves
     original line order.
@@ -1067,8 +1059,8 @@ def host_boilerplate(sf_dir: str, *, thresh: int = _HB_THRESH) -> ray.data.Datas
 
         return docs.map_batches(scrub, batch_format="pandas")
 
-    # join plan: tagged-sides co-partition on (source, lh), then per-doc
-    # rebuild under the [doc_id] sort-colocation invariant
+    # join plan: occurrence rows ⋈ boilerplate rows co-partitioned on
+    # (source, lh), then the survivors ⋈ per-doc line totals on doc_id
     def occ_rows(df: pd.DataFrame) -> pd.DataFrame:
         rows = {"doc_id": [], "source": [], "lh": [], "idx": [], "line": []}
         for doc_id, source, lines, hs in _doc_rows(df):
@@ -1077,48 +1069,23 @@ def host_boilerplate(sf_dir: str, *, thresh: int = _HB_THRESH) -> ray.data.Datas
             rows["lh"].extend(hs)
             rows["idx"].extend(range(len(lines)))
             rows["line"].extend(lines)
-        out = pd.DataFrame(rows)
-        out["doc_id"] = out["doc_id"].astype("int64")
-        out["idx"] = out["idx"].astype("int64")
-        out["tag"] = np.int64(1)
-        return out
+        return pd.DataFrame(rows)
 
-    occ = docs.map_batches(occ_rows, batch_format="pandas")
-    bp_tagged = bp.map_batches(
-        lambda df: df.assign(
-            doc_id=np.int64(-1),
-            idx=np.int64(-1),
-            line="",
-            tag=np.int64(0),
-        )[["doc_id", "source", "lh", "idx", "line", "tag"]],
-        batch_format="pandas",
-    )
+    def drop_marked(p: dict) -> pd.DataFrame:
+        occ, bp = p["occ"], p["bp"]
+        marked = pd.MultiIndex.from_frame(occ[["source", "lh"]]).isin(
+            pd.MultiIndex.from_frame(bp[["source", "lh"]])
+        )
+        return occ.loc[~marked, ["doc_id", "idx", "line"]]
 
-    def drop_marked(df: pd.DataFrame) -> pd.DataFrame:
-        # whole-block vectorized: groups with a tag-0 row lose their occ rows
-        marked = df.groupby(["source", "lh"], sort=False)["tag"].transform("min")
-        return df[(df["tag"] == 1) & (marked == 1)]
-
-    survivors = colocate(occ.union(bp_tagged), ["source", "lh"], drop_marked)
-
-    def rebuild(df: pd.DataFrame) -> pd.DataFrame:
-        if len(df) == 0:
-            return pd.DataFrame(
-                {
-                    "doc_id": pd.Series([], dtype="int64"),
-                    "kept_text": pd.Series([], dtype="object"),
-                    "n_kept": pd.Series([], dtype="int64"),
-                }
-            )
-        df = df.sort_values(["doc_id", "idx"], kind="mergesort")
-        g = df.groupby("doc_id", sort=False)
-        out = g["line"].agg("\n".join).reset_index(name="kept_text")
-        out["n_kept"] = g.size().to_numpy(dtype=np.int64)
-        out["doc_id"] = out["doc_id"].astype("int64")
-        return out
-
-    kept = colocate(
-        survivors.select_columns(["doc_id", "idx", "line"]), ["doc_id"], rebuild
+    survivors = copartition(
+        {
+            "occ": (docs.map_batches(occ_rows, batch_format="pandas"), ["source", "lh"],
+                    {"doc_id": "int64", "source": "object", "lh": "object",
+                     "idx": "int64", "line": "object"}),
+            "bp": (bp, ["source", "lh"], {"source": "object", "lh": "object"}),
+        },
+        drop_marked,
     )
 
     def totals(df: pd.DataFrame) -> pd.DataFrame:
@@ -1132,43 +1099,32 @@ def host_boilerplate(sf_dir: str, *, thresh: int = _HB_THRESH) -> ray.data.Datas
             }
         )
 
-    tot = docs.map_batches(totals, batch_format="pandas")
-
-    def finish(df: pd.DataFrame) -> pd.DataFrame:
-        out = pd.DataFrame(
+    def rebuild(p: dict) -> pd.DataFrame:
+        # every surviving line of a doc is in this block with its total:
+        # kept lines rejoin in their original order
+        kept = p["kept"].sort_values(["doc_id", "idx"], kind="mergesort")
+        g = (kept["line"] + "\n").groupby(kept["doc_id"], sort=False)
+        tot = p["tot"]
+        text = tot["doc_id"].map(g.sum().str[:-1]).fillna("")
+        n_kept = tot["doc_id"].map(g.size()).fillna(0)
+        return pd.DataFrame(
             {
-                "doc_id": df["doc_id"].astype("int64"),
-                "text": df["kept_text"].fillna("").astype("object"),
-                "n_lines": df["n_lines"].astype("int64"),
-                "n_removed": (
-                    df["n_lines"] - df["n_kept"].fillna(0)
-                ).astype("int64"),
+                "doc_id": tot["doc_id"].astype("int64"),
+                "text": text.astype("object"),
+                "n_lines": tot["n_lines"].astype("int64"),
+                "n_removed": (tot["n_lines"] - n_kept).astype("int64"),
             }
         )
-        return out
 
-    def merge_block(df: pd.DataFrame) -> pd.DataFrame:
-        # per-doc_id colocated block: one tot row + at most one kept row
-        g = df.groupby("doc_id", sort=False).agg(
-            kept_text=("kept_text", "first"),
-            n_kept=("n_kept", "max"),
-            n_lines=("n_lines", "max"),
-        ).reset_index()
-        return finish(g)
-
-    tot2 = tot.map_batches(
-        lambda df: df.assign(kept_text=None, n_kept=np.int64(0))[
-            ["doc_id", "kept_text", "n_kept", "n_lines"]
-        ],
-        batch_format="pandas",
+    return copartition(
+        {
+            "tot": (docs.map_batches(totals, batch_format="pandas"), ["doc_id"],
+                    {"doc_id": "int64", "n_lines": "int64"}),
+            "kept": (survivors, ["doc_id"],
+                     {"doc_id": "int64", "idx": "int64", "line": "object"}),
+        },
+        rebuild,
     )
-    kept2 = kept.map_batches(
-        lambda df: df.assign(n_lines=np.int64(0))[
-            ["doc_id", "kept_text", "n_kept", "n_lines"]
-        ],
-        batch_format="pandas",
-    )
-    return colocate(tot2.union(kept2), ["doc_id"], merge_block)
 
 
 def sql_host_boilerplate(*, thresh: int = _HB_THRESH) -> str:
@@ -1230,14 +1186,13 @@ def host_components(sf_dir: str, *, cluster_mode: str = "auto") -> ray.data.Data
     unchanged; at web scale (≥10^6 hosts) the 32-bit id space needs the
     documented swap to a 64-bit hash at this one seam.  The component label
     is the minimum member id.  Hosts with no off-host edges come back as
-    singleton components labelled with their own id (one tagged-sides
-    grouped join on id — the host-table-sized exchange, never corpus-
-    sized).  Output: (host, comp_id).
+    singleton components labelled with their own id (one co-partitioned
+    join of host rows and component rows on id, ``util.copartition`` — the
+    host-table-sized exchange, never corpus-sized).  Output: (host, comp_id).
     """
     ensure_picklable()
     from ..functions.fnv import fnv1a_32
     from .dedup_ops import cluster_components
-    from .util import grouped_block_map
 
     edges = link_graph(sf_dir)
 
@@ -1285,48 +1240,26 @@ def host_components(sf_dir: str, *, cluster_mode: str = "auto") -> ray.data.Data
     pairs = edges.map_batches(pair_rows, batch_format="pandas")
     comp = cluster_components(pairs, cluster_mode=cluster_mode, as_dataset=True)
 
-    # tagged-sides grouped join on id: node rows carry the host string,
-    # comp rows carry the label; absent label -> singleton (own id)
-    def tag_nodes(df: pd.DataFrame) -> pd.DataFrame:
+    def resolve(p: dict) -> pd.DataFrame:
+        # one row per DISTINCT (id, host): on a 32-bit fnv collision two
+        # hosts share an id — both get the shared component id, matching
+        # the oracle's per-host LEFT JOIN; a host absent from every pair
+        # is its own component
+        nodes = p["node"].drop_duplicates()
+        cid = p["comp"].groupby("doc_id", sort=False)["rep_id"].max()
+        comp_id = nodes["id"].map(cid).fillna(nodes["id"])
         return pd.DataFrame(
-            {
-                "id": df["id"].astype("int64"),
-                "host": df["host"].astype("object"),
-                "cid": np.full(len(df), -1, dtype=np.int64),
-            }
+            {"host": nodes["host"].to_numpy(dtype=object),
+             "comp_id": comp_id.to_numpy(dtype=np.int64)}
         )
 
-    def tag_comp(df: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame(
-            {
-                "id": df["doc_id"].astype("int64"),
-                "host": pd.array([None] * len(df), dtype="object"),
-                "cid": df["rep_id"].astype("int64"),
-            }
-        )
-
-    def resolve(g: pd.DataFrame) -> pd.DataFrame:
-        hosts = g["host"].dropna().drop_duplicates()
-        if hosts.empty:  # defensive: comp row without a node row
-            return pd.DataFrame(
-                {"host": pd.Series([], dtype="object"),
-                 "comp_id": pd.Series([], dtype="int64")}
-            )
-        cid = int(g["cid"].max())
-        if cid < 0:
-            cid = int(g["id"].iloc[0])  # isolated host: own component
-        # one row per DISTINCT host: on a 32-bit fnv collision two hosts
-        # share this id group — both get the shared component id, matching
-        # the oracle's per-host LEFT JOIN (round-4 advisor fix)
-        return pd.DataFrame(
-            {"host": hosts.to_numpy(),
-             "comp_id": np.full(len(hosts), cid, dtype=np.int64)}
-        )
-
-    both = nodes.map_batches(tag_nodes, batch_format="pandas").union(
-        comp.map_batches(tag_comp, batch_format="pandas")
+    return copartition(
+        {
+            "node": (nodes, ["id"], {"id": "int64", "host": "object"}),
+            "comp": (comp, ["doc_id"], {"doc_id": "int64", "rep_id": "int64"}),
+        },
+        resolve,
     )
-    return grouped_block_map(both, ["id"], resolve)
 
 
 def sql_host_components() -> str:
@@ -1363,7 +1296,7 @@ def sql_host_components() -> str:
 _TRI_BROADCAST_MAX = 2_000_000  # max nodes in the broadcast degree map
 
 
-def _host_graph(sf_dir: str, broadcast_max: int, edges_ds=None):
+def _host_graph(sf_dir: str, edges_ds=None):
     """Shared graph-construction stage for ``host_triangles`` /
     ``host_clustering``: canonical deduped undirected edges, the degree
     table, and the (degree, name)-oriented edge set (broadcast degree
@@ -1389,7 +1322,7 @@ def _host_graph(sf_dir: str, broadcast_max: int, edges_ds=None):
     ensure_picklable()
     import ray
 
-    from .util import copartition, grouped_block_dedup, hash_key
+    from .util import grouped_block_dedup
 
     def canon(df: pd.DataFrame) -> pd.DataFrame:
         if len(df):
@@ -1461,8 +1394,8 @@ def _host_graph(sf_dir: str, broadcast_max: int, edges_ds=None):
             }
         )
 
-    if n_nodes <= broadcast_max:
-        deg_df = deg.to_pandas()  # proven <= broadcast_max rows
+    if n_nodes <= _TRI_BROADCAST_MAX:
+        deg_df = deg.to_pandas()  # proven <= _TRI_BROADCAST_MAX rows
         dref = ray.put(dict(zip(deg_df["node"], deg_df["deg"])))
 
         def orient_bcast(df: pd.DataFrame) -> pd.DataFrame:
@@ -1527,44 +1460,57 @@ def _host_graph(sf_dir: str, broadcast_max: int, edges_ds=None):
     return edges, deg, oriented, n_nodes, n_edges
 
 
-_W_EMPTY = {"x": "object", "y": "object", "ctr": "object", "tag": "int64"}
+def _wedges(df: pd.DataFrame) -> pd.DataFrame:
+    """All out-neighbor pairs (x, y) of every center u in one block of
+    oriented edges co-located on u, (degree, name)-ordered so the pair
+    matches the closing edge's orientation; carries the center (ctr) for
+    per-node attribution.  Vectorized over the block: the rows sort by
+    (u, dv, v), and row k of a center with n out-edges pairs with rows
+    k+1 .. n-1 of that center."""
+    df = df.sort_values(["u", "dv", "v"], kind="mergesort")
+    u = df["u"].to_numpy(dtype=object)
+    v = df["v"].to_numpy(dtype=object)
+    n = len(u)
+    first = np.ones(n, dtype=bool)
+    first[1:] = u[1:] != u[:-1]
+    center = np.cumsum(first) - 1
+    ends = np.cumsum(np.bincount(center))[center]  # one past the center's last row
+    later = ends - np.arange(n) - 1  # out-edges after row k in its center
+    i = np.repeat(np.arange(n), later)
+    j = i + 1 + np.arange(len(i)) - np.repeat(np.cumsum(later) - later, later)
+    return pd.DataFrame({"x": v[i], "y": v[j], "ctr": u[i]})
 
 
-def _wedge_rows(g: pd.DataFrame) -> pd.DataFrame:
-    """All out-neighbor pairs of one center, (degree, name)-ordered so the
-    pair matches the closing edge's orientation; carries the center for
-    per-node attribution."""
-    if len(g) < 2:
-        return pd.DataFrame({c: pd.Series([], dtype=t) for c, t in _W_EMPTY.items()})
-    gg = g.sort_values(["dv", "v"], kind="mergesort")
-    vs = gg["v"].to_numpy(dtype=object)
-    i, j = np.triu_indices(len(vs), k=1)
-    return pd.DataFrame(
-        {"x": vs[i], "y": vs[j], "ctr": g["u"].iloc[0], "tag": np.int64(1)}
+def _closed_wedges(p: dict) -> pd.DataFrame:
+    """The wedges of one ``_closure`` block that an oriented edge closes:
+    each is exactly one triangle, at its (degree, name)-minimal vertex."""
+    w, e = p["w"], p["e"]
+    closed = pd.MultiIndex.from_frame(w[["x", "y"]]).isin(
+        pd.MultiIndex.from_frame(e[["x", "y"]])
+    )
+    return w[closed]
+
+
+def _close_count(p: dict) -> pd.DataFrame:
+    return pd.DataFrame({"t": pd.Series([len(_closed_wedges(p))], dtype="int64")})
+
+
+def _closure(oriented, close_fn) -> ray.data.Dataset:
+    """Wedges ⋈ oriented edges co-partitioned on (x, y)
+    (``util.copartition``); ``close_fn`` gets each block's
+    ``{"w": wedges, "e": edges}``."""
+    wedges = colocate(oriented, ["u"], _wedges)
+    edges = oriented.map_batches(
+        lambda df: pd.DataFrame({"x": df["u"], "y": df["v"]}), batch_format="pandas"
+    )
+    xy = {"x": "object", "y": "object"}
+    return copartition(
+        {"w": (wedges, ["x", "y"], {**xy, "ctr": "object"}), "e": (edges, ["x", "y"], xy)},
+        close_fn,
     )
 
 
-def _closure_input(oriented):
-    from .util import grouped_block_map
-
-    wedges = grouped_block_map(oriented, ["u"], _wedge_rows, drop_singletons=True)
-    e_tagged = oriented.map_batches(
-        lambda df: pd.DataFrame(
-            {
-                "x": df["u"].to_numpy(dtype=object),
-                "y": df["v"].to_numpy(dtype=object),
-                "ctr": pd.Series([""] * len(df), dtype="object"),
-                "tag": np.zeros(len(df), dtype="int64"),
-            }
-        ),
-        batch_format="pandas",
-    )
-    return wedges.union(e_tagged)
-
-
-def host_triangles(
-    sf_dir: str, *, broadcast_max: int = _TRI_BROADCAST_MAX
-) -> pd.DataFrame:
+def host_triangles(sf_dir: str) -> pd.DataFrame:
     """Triangle count of the undirected host link graph — the classic
     link-farm / tight-community signal.  See ``_host_graph`` for the
     degree-ordered wedge-join scale plan; each closed wedge is exactly one
@@ -1573,7 +1519,7 @@ def host_triangles(
 
     Output: one row (n_hosts, n_edges, n_triangles)."""
     ensure_picklable()
-    edges, deg, oriented, n_nodes, n_edges = _host_graph(sf_dir, broadcast_max)
+    edges, deg, oriented, n_nodes, n_edges = _host_graph(sf_dir)
     if oriented is None:
         return pd.DataFrame(
             {
@@ -1583,14 +1529,7 @@ def host_triangles(
             }
         )
 
-    def close_count(df: pd.DataFrame) -> pd.DataFrame:
-        if len(df) == 0:
-            return pd.DataFrame({"t": pd.Series([], dtype="int64")})
-        m = df.groupby(["x", "y"], sort=False)["tag"].transform("min")
-        t = int(((df["tag"].to_numpy() == 1) & (m.to_numpy() == 0)).sum())
-        return pd.DataFrame({"t": pd.Series([t], dtype="int64")})
-
-    tri = colocate(_closure_input(oriented), ["x", "y"], close_count).sum("t")
+    tri = _closure(oriented, _close_count).sum("t")
     return pd.DataFrame(
         {
             "n_hosts": pd.Series([int(n_nodes)], dtype="int64"),
@@ -1616,9 +1555,7 @@ def sql_host_triangles() -> str:
     )
 
 
-def host_clustering(
-    sf_dir: str, *, broadcast_max: int = _TRI_BROADCAST_MAX
-) -> ray.data.Dataset:
+def host_clustering(sf_dir: str) -> ray.data.Dataset:
     """Per-host local clustering coefficient — triangles through a host
     over its possible neighbor pairs, the node-level tight-community /
     link-ring score (the grouped sibling of ``host_triangles``'s global
@@ -1628,39 +1565,28 @@ def host_clustering(
     closure pass attributes each closed wedge to its THREE corners
     (center, x, y) as per-block (node, count) combiner partials — per-node
     counts are orientation-independent because every triangle closes
-    exactly once — then one node-cardinality tagged exchange merges
-    triangle counts with the degree table and the coefficient is exact
-    integer arithmetic: clustering_milli = (2000·t) // (d·(d−1)), floor
-    division in both engines.
+    exactly once — then one node-cardinality co-partitioned join
+    (``util.copartition``) merges triangle counts with the degree table
+    and the coefficient is exact integer arithmetic:
+    clustering_milli = (2000·t) // (d·(d−1)), floor division in both
+    engines.
 
     Output: (host, deg, n_tri, clustering_milli) for hosts with deg ≥ 2."""
     ensure_picklable()
 
-    _OUT_EMPTY = pd.DataFrame(
-        {
-            "host": pd.Series([], dtype="object"),
-            "deg": pd.Series([], dtype="int64"),
-            "n_tri": pd.Series([], dtype="int64"),
-            "clustering_milli": pd.Series([], dtype="int64"),
-        }
-    )
-    edges, deg, oriented, n_nodes, n_edges = _host_graph(sf_dir, broadcast_max)
+    edges, deg, oriented, n_nodes, n_edges = _host_graph(sf_dir)
     if oriented is None:
-        return _OUT_EMPTY
+        return pd.DataFrame(
+            {
+                "host": pd.Series([], dtype="object"),
+                "deg": pd.Series([], dtype="int64"),
+                "n_tri": pd.Series([], dtype="int64"),
+                "clustering_milli": pd.Series([], dtype="int64"),
+            }
+        )
 
-    _P_EMPTY = {"node": "object", "c": "int64", "tag": "int64"}
-
-    def node_partials(df: pd.DataFrame) -> pd.DataFrame:
-        if len(df) == 0:
-            return pd.DataFrame(
-                {c: pd.Series([], dtype=t) for c, t in _P_EMPTY.items()}
-            )
-        m = df.groupby(["x", "y"], sort=False)["tag"].transform("min")
-        closed = df[(df["tag"].to_numpy() == 1) & (m.to_numpy() == 0)]
-        if len(closed) == 0:
-            return pd.DataFrame(
-                {c: pd.Series([], dtype=t) for c, t in _P_EMPTY.items()}
-            )
+    def node_partials(p: dict) -> pd.DataFrame:
+        closed = _closed_wedges(p)
         nodes = np.concatenate(
             [
                 closed["ctr"].to_numpy(dtype=object),
@@ -1668,52 +1594,33 @@ def host_clustering(
                 closed["y"].to_numpy(dtype=object),
             ]
         )
-        vc = pd.Series(nodes).value_counts()
+        vc = pd.Series(nodes, dtype=object).value_counts()
+        return pd.DataFrame(
+            {"node": vc.index.to_numpy(dtype=object), "c": vc.to_numpy().astype("int64")}
+        )
+
+    def combine(p: dict) -> pd.DataFrame:
+        t = p["t"].groupby("node", sort=False)["c"].sum()
+        d = p["d"][p["d"]["deg"] >= 2]
+        deg = d["deg"].to_numpy(dtype="int64")
+        n_tri = d["node"].map(t).fillna(0).to_numpy(dtype="int64")
         return pd.DataFrame(
             {
-                "node": vc.index.astype(object),
-                "c": vc.to_numpy().astype("int64"),
-                "tag": np.ones(len(vc), dtype="int64"),
+                "host": d["node"].to_numpy(dtype=object),
+                "deg": deg,
+                "n_tri": n_tri,
+                "clustering_milli": (2000 * n_tri) // (deg * (deg - 1)),
             }
         )
 
-    tri_parts = colocate(_closure_input(oriented), ["x", "y"], node_partials)
-    deg_tagged = deg.map_batches(
-        lambda df: pd.DataFrame(
-            {
-                "node": df["node"].to_numpy(dtype=object),
-                "c": df["deg"].to_numpy().astype("int64"),
-                "tag": np.zeros(len(df), dtype="int64"),
-            }
-        ),
-        batch_format="pandas",
+    return copartition(
+        {
+            "t": (_closure(oriented, node_partials), ["node"],
+                  {"node": "object", "c": "int64"}),
+            "d": (deg, ["node"], {"node": "object", "deg": "int64"}),
+        },
+        combine,
     )
-
-    def combine(df: pd.DataFrame) -> pd.DataFrame:
-        if len(df) == 0:
-            return _OUT_EMPTY
-        d = df[df["tag"] == 0].set_index("node")["c"]
-        t = df[df["tag"] == 1].groupby("node", sort=False)["c"].sum()
-        out = pd.DataFrame({"deg": d})
-        out["n_tri"] = t.reindex(out.index, fill_value=0).astype("int64")
-        out = out[out["deg"] >= 2]
-        if len(out) == 0:
-            return _OUT_EMPTY
-        out["clustering_milli"] = (2000 * out["n_tri"]) // (
-            out["deg"] * (out["deg"] - 1)
-        )
-        out = out.reset_index().rename(columns={"index": "node"})
-        return pd.DataFrame(
-            {
-                "host": out["node"].to_numpy(dtype=object),
-                "deg": out["deg"].astype("int64"),
-                "n_tri": out["n_tri"].astype("int64"),
-                "clustering_milli": out["clustering_milli"].astype("int64"),
-            }
-        )
-
-    # one node-cardinality tagged exchange (colocation invariant on [node])
-    return colocate(tri_parts.union(deg_tagged), ["node"], combine)
 
 
 def sql_host_clustering() -> str:
@@ -1926,43 +1833,31 @@ def page_link_audit(sf_dir: str) -> ray.data.Dataset:
     Scale plan: both sides collapse to DISTINCT (host, page-slot) rows
     inside each batch (pages from the doc scan, targets from the same
     vectorized href extraction as ``link_graph``, page-references only —
-    ``/d/<slot>`` paths), then ONE grouped exchange on (host, slot) with
-    Max-flag aggregation merges the two tagged sides (the classic
-    full-outer-join-by-union shape, no broadcast needed); per-host counts
-    fold in-block after a sort on exactly [host] (colocation invariant,
-    ``util.py``) — a host's distinct-slot set is the block ceiling.
+    ``/d/<slot>`` paths), then ONE co-partitioned exchange on the host's
+    hash (``util.copartition``, no broadcast needed): every (host, slot)
+    row of a host, on both sides, is in one block, so the full outer join
+    on (host, slot) and the per-host counts run in-block — a host's
+    distinct-slot set is the block ceiling.
 
     Output: (host, n_pages, n_orphans, n_dangling), one row per host that
     serves or is linked at least once.
     """
-    from ray.data.aggregate import Max
-
     ensure_picklable()
 
     def page_side(df: pd.DataFrame) -> pd.DataFrame:
-        if len(df) == 0:
-            return pd.DataFrame(
-                {"host": pd.Series([], dtype="object"),
-                 "slot": pd.Series([], dtype="int64"),
-                 "pg": pd.Series([], dtype="int64"),
-                 "tg": pd.Series([], dtype="int64")}
-            )
         d = pd.DataFrame(
             {
-                "host": (df["source"].astype(str) + ".example.com"),
+                "host": (df["source"].astype(str) + ".example.com").to_numpy(object),
                 "slot": (df["doc_id"].to_numpy("int64") % 97),
             }
         ).drop_duplicates()
-        d["pg"] = np.int64(1)
-        d["tg"] = np.int64(0)
-        return d
+        return d.assign(h=hash_key(d["host"]))
 
     def target_side(df: pd.DataFrame) -> pd.DataFrame:
         empty = pd.DataFrame(
             {"host": pd.Series([], dtype="object"),
              "slot": pd.Series([], dtype="int64"),
-             "pg": pd.Series([], dtype="int64"),
-             "tg": pd.Series([], dtype="int64")}
+             "h": pd.Series([], dtype="uint64")}
         )
         if len(df) == 0:
             return empty
@@ -1986,47 +1881,38 @@ def page_link_audit(sf_dir: str) -> ray.data.Dataset:
                 "slot": slot.to_numpy(dtype=object)[ok].astype("int64"),
             }
         ).drop_duplicates()
-        d["pg"] = np.int64(0)
-        d["tg"] = np.int64(1)
-        return d
+        return d.assign(h=hash_key(d["host"]))
 
-    pages = read_table(sf_dir, "documents", columns=["doc_id", "source"]).map_batches(
-        page_side, batch_format="pandas", batch_size=None
-    )
-    targets = read_table(
-        sf_dir, "documents", columns=["doc_id", "source", "text"]
-    ).map_batches(target_side, batch_format="pandas", batch_size=None)
-
-    merged = (
-        pages.union(targets)
-        .groupby(["host", "slot"])
-        .aggregate(Max("pg", alias_name="pg"), Max("tg", alias_name="tg"))
-    )
-
-    def host_fold(df: pd.DataFrame) -> pd.DataFrame:
-        if len(df) == 0:
-            return pd.DataFrame(
-                {"host": pd.Series([], dtype="object"),
-                 "n_pages": pd.Series([], dtype="int64"),
-                 "n_orphans": pd.Series([], dtype="int64"),
-                 "n_dangling": pd.Series([], dtype="int64")}
-            )
-        pg = df["pg"].to_numpy("int64")
-        tg = df["tg"].to_numpy("int64")
+    def host_fold(p: dict) -> pd.DataFrame:
+        hs = ["host", "slot"]
+        both = p["pages"][hs].drop_duplicates().merge(
+            p["targets"][hs].drop_duplicates(), how="outer", indicator=True
+        )
+        side = both["_merge"].astype(str).to_numpy()
         g = pd.DataFrame(
             {
-                "host": df["host"],
-                "n_pages": pg,
-                "n_orphans": ((pg == 1) & (tg == 0)).astype("int64"),
-                "n_dangling": ((tg == 1) & (pg == 0)).astype("int64"),
+                "host": both["host"],
+                "n_pages": (side != "right_only").astype("int64"),
+                "n_orphans": (side == "left_only").astype("int64"),
+                "n_dangling": (side == "right_only").astype("int64"),
             }
         ).groupby("host", as_index=False, sort=False).sum()
         for c in ("n_pages", "n_orphans", "n_dangling"):
             g[c] = g[c].astype("int64")
         return g
 
-    # sort by EXACTLY the fold key (colocation invariant, util.py)
-    return colocate(merged, ["host"], host_fold)
+    cols = {"h": "uint64", "host": "object", "slot": "int64"}
+    return copartition(
+        {
+            "pages": (read_table(sf_dir, "documents", columns=["doc_id", "source"])
+                      .map_batches(page_side, batch_format="pandas", batch_size=None),
+                      ["h"], cols),
+            "targets": (read_table(sf_dir, "documents", columns=["doc_id", "source", "text"])
+                        .map_batches(target_side, batch_format="pandas", batch_size=None),
+                        ["h"], cols),
+        },
+        host_fold,
+    )
 
 
 def sql_page_link_audit() -> str:

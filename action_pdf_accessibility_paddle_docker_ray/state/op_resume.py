@@ -37,10 +37,6 @@ from .checkpoint import Checkpoint
 STATE = "_state"
 
 
-def _identity_pandas(df: pd.DataFrame) -> pd.DataFrame:
-    return df
-
-
 def _checkpoint(sf_dir: str, out_dir: str, params: dict) -> Checkpoint:
     return Checkpoint(out_dir, [os.path.join(sf_dir, "documents.parquet")], params)
 
@@ -275,8 +271,7 @@ def run_paragraph_dedup_resumable(
     reads only that bucket's winner partition)."""
     import ray.data
 
-    from ..pipelines.text_ops import _para_assemble, _para_seeds, paragraph_winners
-    from ..pipelines.util import grouped_block_map
+    from ..pipelines.text_ops import _para_seeds, paragraph_assemble, paragraph_winners
     from ..sources.pages import read_table
 
     ck = _checkpoint(sf_dir, out_dir, {"op": "paragraph_dedup", "n_buckets": n_buckets})
@@ -296,14 +291,13 @@ def run_paragraph_dedup_resumable(
         seeds = _map_bucket(sf_dir, ["doc_id", "text"], n_buckets, b, _para_seeds)
         part_dir = os.path.join(ck.path(STATE), "winners", f"doc_bucket={b}")
         if os.path.isdir(part_dir):
-            w = ray.data.read_parquet(
-                part_dir, columns=["para", "doc_id", "i", "n_paras"]
-            ).map_batches(_identity_pandas, batch_format="pandas")
-            # (^ normalizes to pandas blocks: union of Arrow-read blocks
-            #    with the pandas seed blocks breaks the downstream sort)
-            seeds = w.union(seeds)
-        # else no winner landed in this bucket: seeds alone
-        return grouped_block_map(seeds, ["doc_id"], _para_assemble)
+            winners = ray.data.read_parquet(part_dir, columns=["para", "doc_id", "i"])
+        else:  # no winner landed in this bucket
+            winners = ray.data.from_pandas(pd.DataFrame(
+                {"para": pd.Series([], dtype=object), "doc_id": pd.Series([], dtype="int64"),
+                 "i": pd.Series([], dtype="int64")}
+            ))
+        return paragraph_assemble(winners, seeds)
 
     return _buckets(ck, n_buckets, bucket_ds, reused)
 

@@ -135,6 +135,27 @@ def test_copartition_sides_keys_and_absent_sides(ray_session):
         )
 
 
+def test_copartition_loop_lineage_stays_linear(ray_session):
+    """A loop that feeds a three-sided ``copartition``'s output back in as
+    two of its sides (the label-propagation shape) keeps a stats lineage
+    linear in the rounds: an n-ary ``Dataset.union`` copies each input's
+    lineage, so the operator count doubled per round (and every round got
+    slower)."""
+    from action_pdf_accessibility_paddle_docker_ray.pipelines.util import copartition
+
+    ids = {"node": "int64"}
+    base = ray.data.from_pandas(pd.DataFrame({"node": np.arange(10, dtype=np.int64)}))
+    state = base.materialize()
+    for _ in range(6):
+        state = copartition(
+            {"e": (base, ["node"], ids), "a": (state, ["node"], ids), "b": (state, ["node"], ids)},
+            lambda p: p["a"].drop_duplicates(),
+        ).repartition(1).materialize()
+    ops = [line for line in state.stats().splitlines() if line.startswith("Operator")]
+    assert sorted(state.to_pandas()["node"]) == list(range(10))
+    assert len(ops) <= 20 * 6, len(ops)
+
+
 def test_part_skyline_driver_gets_one_row_per_size(ray_session, tmp_path, monkeypatch):
     """part_skyline over 8 input blocks that each hold every size: the
     champions fold before the driver, so ``to_pandas`` returns at most one
@@ -178,3 +199,30 @@ def test_part_skyline_driver_gets_one_row_per_size(ray_session, tmp_path, monkey
     pd.testing.assert_frame_equal(
         got.reset_index(drop=True), want.astype(got.dtypes.to_dict()), check_dtype=False
     )
+
+
+def test_page_link_audit_is_one_host_exchange(ray_session):
+    """page_link_audit co-partitions its page and target sides on the host
+    in one exchange: the executed plan has exactly one ``Sort`` and no hash
+    ``Aggregate`` (the (host, slot) Max-merge before the host fold is
+    gone), and the audit equals the SQL oracle."""
+    from action_pdf_accessibility_paddle_docker_ray.pipelines.web_ops import (
+        page_link_audit,
+        sql_page_link_audit,
+    )
+
+    sf = "/root/testdata/sf0.01"
+    ds = page_link_audit(sf).materialize()
+    ops = [line for line in ds.stats().splitlines() if line.startswith("Operator")]
+    assert not [op for op in ops if "Aggregate" in op], ops
+    assert len([op for op in ops if "Sort" in op]) == 1, ops
+
+    con = duckdb.connect()
+    con.execute(f"CREATE VIEW documents AS SELECT * FROM read_parquet('{sf}/documents.parquet')")
+    want = con.execute(sql_page_link_audit()).df().sort_values("host", ignore_index=True)
+    got = ds.to_pandas().sort_values("host", ignore_index=True)
+    assert len(got) == len(want) > 0
+    assert got["host"].tolist() == want["host"].tolist()
+    for col in ("n_pages", "n_orphans", "n_dangling"):
+        assert got[col].astype("int64").tolist() == want[col].astype("int64").tolist(), col
+    assert (got["n_orphans"] > 0).any() and (got["n_dangling"] > 0).any()

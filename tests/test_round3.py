@@ -242,16 +242,18 @@ def test_nested_docs_scalars_match_json_docs(ray_session, tmp_path):
 # bounded unigram_logprob (VERDICT r2 #3)
 # ---------------------------------------------------------------------------
 
-def test_unigram_logprob_join_path_matches_broadcast(ray_session):
-    """vocab_broadcast_max=0 forces the bucketed token⋈logprob join; the
-    output must be bit-identical to the broadcast-dict path."""
+def test_unigram_logprob_join_path_matches_broadcast(ray_session, monkeypatch):
+    """_VOCAB_BROADCAST_MAX=0 forces the co-partitioned token⋈logprob join;
+    the output must be bit-identical to the broadcast-dict path."""
+    from action_pdf_accessibility_paddle_docker_ray.pipelines import text_ops
     from action_pdf_accessibility_paddle_docker_ray.pipelines.text_ops import (
         unigram_logprob,
     )
 
     a = unigram_logprob(SF).to_pandas().sort_values("doc_id").reset_index(drop=True)
+    monkeypatch.setattr(text_ops, "_VOCAB_BROADCAST_MAX", 0)
     b = (
-        unigram_logprob(SF, vocab_broadcast_max=0)
+        unigram_logprob(SF)
         .to_pandas().sort_values("doc_id").reset_index(drop=True)
     )
     assert len(a) == 500

@@ -204,15 +204,17 @@ def test_cluster_components_rejects_unknown_mode(ray_session):
         )
 
 
-def test_dedup_corpus_antijoin_switch(ray_session):
-    """drop_broadcast_max=0 forces the grouped anti-join filter; it must
-    return exactly the broadcast path's keep set."""
+def test_dedup_corpus_antijoin_switch(ray_session, monkeypatch):
+    """_DROP_BROADCAST_MAX=0 forces the co-partitioned anti-join filter; it
+    must return exactly the broadcast path's keep set."""
+    from action_pdf_accessibility_paddle_docker_ray.pipelines import dedup_ops
     from action_pdf_accessibility_paddle_docker_ray.pipelines.dedup_ops import dedup_corpus
 
     sf = "/root/testdata/sf0.001"
     a = dedup_corpus(sf).to_pandas().sort_values("doc_id").reset_index(drop=True)
+    monkeypatch.setattr(dedup_ops, "_DROP_BROADCAST_MAX", 0)
     b = (
-        dedup_corpus(sf, drop_broadcast_max=0)
+        dedup_corpus(sf)
         .to_pandas()
         .sort_values("doc_id")
         .reset_index(drop=True)
@@ -434,15 +436,17 @@ def test_substring_dedup_matches_oracle(ray_session):
     assert (want["n_removed"] > 0).sum() > 100
 
 
-def test_substring_dedup_join_path_equivalent(ray_session):
-    """dup_broadcast_max=0 forces the bucketed-join plan (no driver-side
-    dup map); results must be bit-identical to the broadcast plan."""
+def test_substring_dedup_join_path_equivalent(ray_session, monkeypatch):
+    """_SUBDUP_BROADCAST_MAX=0 forces the co-partitioned join plan (no
+    driver-side dup map); results must be bit-identical to the broadcast
+    plan."""
     from action_pdf_accessibility_paddle_docker_ray.pipelines import text_ops
 
     sf = "/root/testdata/sf0.001"
     want = _subdup_oracle(sf)
+    monkeypatch.setattr(text_ops, "_SUBDUP_BROADCAST_MAX", 0)
     got = (
-        text_ops.substring_dedup(sf, dup_broadcast_max=0)
+        text_ops.substring_dedup(sf)
         .to_pandas()
         .sort_values("doc_id")
         .reset_index(drop=True)
@@ -556,7 +560,7 @@ def test_dedup_keep_best_matches_oracle(ray_session):
     assert len(got) == len(dc)  # same survivor count, different members
 
 
-def test_dedup_keep_best_join_plan_equivalent(ray_session):
+def test_dedup_keep_best_join_plan_equivalent(ray_session, monkeypatch):
     from action_pdf_accessibility_paddle_docker_ray.pipelines import dedup_ops
 
     sf = "/root/testdata/sf0.001"
@@ -566,8 +570,9 @@ def test_dedup_keep_best_join_plan_equivalent(ray_session):
         .sort_values("doc_id")
         .reset_index(drop=True)
     )
+    monkeypatch.setattr(dedup_ops, "_DROP_BROADCAST_MAX", 0)
     b = (
-        dedup_ops.dedup_keep_best(sf, drop_broadcast_max=0)
+        dedup_ops.dedup_keep_best(sf)
         .to_pandas()
         .sort_values("doc_id")
         .reset_index(drop=True)
@@ -644,7 +649,7 @@ def test_pagerank_resumable_kill_restart(
 # --- incremental_fuzzy_dedup ------------------------------------------------
 
 
-def test_incremental_fuzzy_dedup_matches_oracle(ray_session):
+def test_incremental_fuzzy_dedup_matches_oracle(ray_session, monkeypatch):
     import duckdb
 
     from action_pdf_accessibility_paddle_docker_ray.pipelines import dedup_ops
@@ -671,8 +676,9 @@ def test_incremental_fuzzy_dedup_matches_oracle(ray_session):
     n_new = 250
     assert 0 < len(got) < n_new
     # anti-join path identical
+    monkeypatch.setattr(dedup_ops, "_DROP_BROADCAST_MAX", 0)
     b = (
-        dedup_ops.incremental_fuzzy_dedup(sf, drop_broadcast_max=0)
+        dedup_ops.incremental_fuzzy_dedup(sf)
         .to_pandas()
         .sort_values("doc_id")
         .reset_index(drop=True)

@@ -885,9 +885,10 @@ def test_min_price_supplier_matches_duckdb(ray_session):
     assert len(got) == n_parts
 
 
-def test_host_triangles_matches_duckdb_and_join_path(ray_session):
+def test_host_triangles_matches_duckdb_and_join_path(ray_session, monkeypatch):
     import duckdb
 
+    from action_pdf_accessibility_paddle_docker_ray.pipelines import web_ops
     from action_pdf_accessibility_paddle_docker_ray.pipelines.web_ops import (
         host_triangles,
         sql_host_triangles,
@@ -895,8 +896,9 @@ def test_host_triangles_matches_duckdb_and_join_path(ray_session):
 
     sf = "/root/testdata/sf0.001"
     a = host_triangles(sf).reset_index(drop=True)
-    # force the tagged-sides bucketed degree-attach (the >broadcast_max plan)
-    b = host_triangles(sf, broadcast_max=0).reset_index(drop=True)
+    # force the co-partitioned degree attach (the > _TRI_BROADCAST_MAX plan)
+    monkeypatch.setattr(web_ops, "_TRI_BROADCAST_MAX", 0)
+    b = host_triangles(sf).reset_index(drop=True)
     assert a.equals(b)
 
     con = duckdb.connect()
@@ -992,9 +994,10 @@ def test_type_distinct_users_exact_and_sketch(ray_session):
         assert abs(int(sk[t]) - int(ex[t])) <= max(2, int(0.05 * ex[t])), t
 
 
-def test_host_clustering_matches_duckdb_and_join_path(ray_session):
+def test_host_clustering_matches_duckdb_and_join_path(ray_session, monkeypatch):
     import duckdb
 
+    from action_pdf_accessibility_paddle_docker_ray.pipelines import web_ops
     from action_pdf_accessibility_paddle_docker_ray.pipelines.web_ops import (
         host_clustering,
         sql_host_clustering,
@@ -1002,8 +1005,9 @@ def test_host_clustering_matches_duckdb_and_join_path(ray_session):
 
     sf = "/root/testdata/sf0.001"
     a = host_clustering(sf).to_pandas().sort_values("host").reset_index(drop=True)
+    monkeypatch.setattr(web_ops, "_TRI_BROADCAST_MAX", 0)
     b = (
-        host_clustering(sf, broadcast_max=0)
+        host_clustering(sf)
         .to_pandas()
         .sort_values("host")
         .reset_index(drop=True)
@@ -1217,35 +1221,24 @@ def _edges_ds(pairs):
     )
 
 
-def test_triangle_machinery_on_known_graphs(ray_session):
+def test_triangle_machinery_on_known_graphs(ray_session, monkeypatch):
     """Exact triangle counts on analytically-known topologies, driven
-    through the production _host_graph/_closure_input machinery."""
+    through the production _host_graph/_closure/_close_count machinery."""
+    from action_pdf_accessibility_paddle_docker_ray.pipelines import web_ops
     from action_pdf_accessibility_paddle_docker_ray.pipelines.web_ops import (
-        _closure_input,
+        _close_count,
+        _closure,
         _host_graph,
     )
 
     def count(pairs, broadcast_max=2_000_000):
+        monkeypatch.setattr(web_ops, "_TRI_BROADCAST_MAX", broadcast_max)
         edges, deg, oriented, n_nodes, n_edges = _host_graph(
-            "unused", broadcast_max, edges_ds=_edges_ds(pairs)
+            "unused", edges_ds=_edges_ds(pairs)
         )
         if oriented is None:
             return 0
-
-        def close_count(df):
-            if len(df) == 0:
-                return pd.DataFrame({"t": pd.Series([], dtype="int64")})
-            m = df.groupby(["x", "y"], sort=False)["tag"].transform("min")
-            t = int(((df["tag"].to_numpy() == 1) & (m.to_numpy() == 0)).sum())
-            return pd.DataFrame({"t": pd.Series([t], dtype="int64")})
-
-        return int(
-            _closure_input(oriented)
-            .sort(["x", "y"])
-            .map_batches(close_count, batch_format="pandas", batch_size=None)
-            .sum("t")
-            or 0
-        )
+        return int(_closure(oriented, _close_count).sum("t") or 0)
 
     nodes = [f"h{i:03d}" for i in range(8)]
     clique = [(a, b) for i, a in enumerate(nodes) for b in nodes[i + 1:]]
@@ -1268,25 +1261,21 @@ def test_degree_orientation_bounds_star_wedges(ray_session):
     orients leaf -> hub (leaves have lower degree), so every wedge
     center has out-degree 1 and emission is ZERO — naive neighbor
     pairing would emit C(500, 2) = 124,750 pairs at the hub."""
-    from action_pdf_accessibility_paddle_docker_ray.pipelines.util import (
-        grouped_block_map,
-    )
+    from action_pdf_accessibility_paddle_docker_ray.pipelines.util import colocate
     from action_pdf_accessibility_paddle_docker_ray.pipelines.web_ops import (
         _host_graph,
-        _wedge_rows,
+        _wedges,
     )
 
     star = [("hub", f"leaf{i:04d}") for i in range(500)]
     edges, deg, oriented, n_nodes, n_edges = _host_graph(
-        "unused", 2_000_000, edges_ds=_edges_ds(star)
+        "unused", edges_ds=_edges_ds(star)
     )
     assert n_edges == 500
     o = oriented.to_pandas()
     # every edge points AT the hub
     assert (o["v"] == "hub").all()
-    wedges = grouped_block_map(
-        oriented, ["u"], _wedge_rows, drop_singletons=True
-    ).to_pandas()
+    wedges = colocate(oriented, ["u"], _wedges).to_pandas()
     assert len(wedges) == 0
 
 
@@ -1298,7 +1287,8 @@ def test_triangle_hot_hub_stress_matches_brute_force(ray_session):
     import ray.data
 
     from action_pdf_accessibility_paddle_docker_ray.pipelines.web_ops import (
-        _closure_input,
+        _close_count,
+        _closure,
         _host_graph,
     )
 
@@ -1320,25 +1310,10 @@ def test_triangle_hot_hub_stress_matches_brute_force(ray_session):
         A.astype(np.float64) @ A @ A.astype(np.float64)) / 6))
 
     eds = ray.data.from_pandas(pd.DataFrame({"src_host": src, "dst_host": dst}))
-    edges, deg, oriented, n_nodes, n_edges = _host_graph(
-        "unused", 2_000_000, edges_ds=eds
-    )
+    edges, deg, oriented, n_nodes, n_edges = _host_graph("unused", edges_ds=eds)
     assert n_edges == int(A.sum()) // 2
 
-    def close_count(df):
-        if len(df) == 0:
-            return pd.DataFrame({"t": pd.Series([], dtype="int64")})
-        m = df.groupby(["x", "y"], sort=False)["tag"].transform("min")
-        t = int(((df["tag"].to_numpy() == 1) & (m.to_numpy() == 0)).sum())
-        return pd.DataFrame({"t": pd.Series([t], dtype="int64")})
-
-    got = int(
-        _closure_input(oriented)
-        .sort(["x", "y"])
-        .map_batches(close_count, batch_format="pandas", batch_size=None)
-        .sum("t")
-        or 0
-    )
+    got = int(_closure(oriented, _close_count).sum("t") or 0)
     assert got == want > 0
 
 

@@ -280,16 +280,17 @@ def test_warc_index_matches_closed_form_oracle(ray_session):
     pd.testing.assert_frame_equal(got, want[got.columns], check_dtype=False)
 
 
-def test_bigram_logprob_both_paths_identical(ray_session):
-    # force the bucketed-join path and compare to the broadcast default
+def test_bigram_logprob_both_paths_identical(ray_session, monkeypatch):
+    # force the co-partitioned join path and compare to the broadcast default
     a = (
         text_ops.bigram_logprob(SF)
         .to_pandas()
         .sort_values("doc_id")
         .reset_index(drop=True)
     )
+    monkeypatch.setattr(text_ops, "_BG_BROADCAST_MAX", 0)
     b = (
-        text_ops.bigram_logprob(SF, model_broadcast_max=0)
+        text_ops.bigram_logprob(SF)
         .to_pandas()
         .sort_values("doc_id")
         .reset_index(drop=True)

@@ -63,6 +63,9 @@ def main() -> int:
 
     import __ray_entry__ as e
 
+    # oracles that inline a corpus constant (embedding dim, derived pages
+    # path) read it from SF_ORACLE: point it at the corpus under check
+    e.SF_ORACLE = sf_dir
     con = duckdb.connect()
     for t in TABLES:
         con.execute(f"CREATE VIEW {t} AS SELECT * FROM read_parquet('{sf_dir}/{t}.parquet')")

@@ -3,11 +3,15 @@
 One physical plan: ``read_parquet(url, warc_ts, html)`` → stale-crawl
 step → ``DocProcessor`` TASK stage (doc parse → page loop → detect →
 resolve → reading order → text extract → template assembly, all per input
-row = per document) → partitioned parquet.  ``DocProcessor`` and the write
-fuse into one Ray task, and so does the dict route's stale step before
-them: no operator boundary, no materialization between them.  A document
-never spans rows, so per-url assembly needs no exchange; stale duplicate
-crawls are filtered before any payload is touched.  The stale-crawl filter keeps the latest
+row = per document) → partitioned parquet.  On a path source with at
+least as many files as CPUs the whole chain runs as ONE Ray task per
+input file: read, the dict route's stale step, ``DocProcessor`` and the
+write fuse (``ReadParquet->MapBatches(DocProcessor)->Write``), so no
+payload crosses the object store between stages.  With fewer files than
+CPUs the read splits each file's block and stays its own operator, so a
+one-file input still spreads over every CPU.  A document never spans
+rows, so per-url assembly needs no exchange; stale duplicate crawls are
+filtered before any payload is touched.  The stale-crawl filter keeps the latest
 crawl per url, ties broken on ``content_key``.  For a path source it takes
 one of three routes that ``_stale_filter`` picks from a winner scan: none
 (no url crawled twice), dict (broadcast semi-join against a small
@@ -22,8 +26,9 @@ its rows.
 
 Scale design notes (100 TB / multi-node):
 - columns pruned at the read: only (url, warc_ts, html) leave storage;
-- skew: the heavy-stage unit is a document (bounded, batch-dispatched
-  across tasks) — never a whole input block
+- skew: a document is never split, and the dispatch unit is one input
+  file (one read block): a file of heavy documents is one long task, so
+  the straggler tail follows the file layout (ROADMAP item 3)
   (reference: one sequential page loop per process,
   /root/reference/src/autotag.py:123-138);
 - no stage holds per-worker state: the stub detector is deterministic and
@@ -73,6 +78,7 @@ def _default_concurrency(reserve_div: int = 8) -> tuple[int, int]:
     return (n, n)
 
 
+_GPU_BATCH_SIZE = 8  # documents per call of a GPU-pinned DocProcessor stage
 _SMALL_INPUT_BYTES = 1 << 30  # below this, the winner scan is one task
 # broadcast bound: above this many duplicated urls the per-worker winner map
 # stops being "small side" as a Python dict; the pipeline switches to the
@@ -194,7 +200,7 @@ def _source_files(source: "str | list") -> list:
     return [os.path.abspath(f) for f in pads.dataset(source).files]
 
 
-def _stale_filter(source: "str | list") -> StaleRoute:
+def _stale_filter(source: "str | list", files: list | None = None) -> StaleRoute:
     """Semi-join dedup prep: find urls crawled more than once, their
     winning warc_ts and — for urls whose max warc_ts is shared by ≥2 crawls
     — the winning ``content_key``.  The scan reads (url, warc_ts) only
@@ -208,7 +214,8 @@ def _stale_filter(source: "str | list") -> StaleRoute:
     bigger than a per-block count row reaches the driver until the winner
     map is proven small; then a filtered ``read_pages`` hashes the tied
     rows and the driver takes the max key per url.  Both paths reach the
-    same decision for the same input.
+    same decision for the same input.  ``files``: the parquet files of
+    ``source``, when the caller has listed them already.
 
     Returns a ``StaleRoute`` (``.summary()`` is the decision record):
     - route "none": no duplicate urls; nothing to filter;
@@ -221,7 +228,8 @@ def _stale_filter(source: "str | list") -> StaleRoute:
       Bloom filter; the caller pays the grouped dedup exchange
       (content_key tie-break included) for maybe-dup rows only.
     """
-    files = _source_files(source)
+    if files is None:
+        files = _source_files(source)
     total_bytes = sum(os.path.getsize(f) for f in files)
     bound = _WINNER_BROADCAST_MAX
 
@@ -402,7 +410,6 @@ def extract_pipeline(
     thresholds: dict[int, float] | None = None,
     process_table: bool = True,
     process_formula: bool = True,
-    batch_size: int = 8,
     output: str = "json",
     num_gpus: float | None = None,
     resources: dict | None = None,
@@ -411,11 +418,16 @@ def extract_pipeline(
     """Build the lazy extraction Dataset from a parquet path or a Dataset.
 
     One plan: read → one stale-crawl step → ``DocProcessor`` task stage →
-    (the caller's) write; ``DocProcessor`` and the write fuse into one task,
-    with the dict route's ``drop_stale`` before them.  ``DocProcessor``
-    runs as tasks because no stage holds per-worker state until real model
-    weights exist: a job then starts no actor processes and holds no CPU
-    once it returns.
+    (the caller's) write.  A path source is read one task per file
+    (``override_num_blocks`` = the file count, or the CPU count when that
+    is larger, which splits the files instead) and each ``DocProcessor``
+    call takes a whole block, so with at least as many files as CPUs Ray
+    fuses the read, the dict route's ``drop_stale``, ``DocProcessor`` and
+    the write into one task per file.  The Bloom route's union, a Dataset
+    source's ``Sort`` and a GPU-pinned stage keep their operator
+    boundaries.  ``DocProcessor`` runs as tasks because no stage holds
+    per-worker state until real model weights exist: a job then starts no
+    actor processes and holds no CPU once it returns.
     A path source takes the stale-crawl route ``_stale_filter`` picks (none,
     dict or Bloom; see the module docstring); a Dataset source cannot be
     re-scanned for a winner map, so it runs ``dedup_latest`` (one sort
@@ -442,11 +454,17 @@ def extract_pipeline(
     runs it chunk by chunk); winners stay global either way.
     """
     ensure_picklable()
-    is_path = isinstance(source, (str, list))
-    ds = read_pages(source) if is_path else source
     route = _winners_ref
-    if route is None and is_path:
-        route = _stale_filter(source)
+    if isinstance(source, (str, list)):
+        files = _source_files(source)
+        # one read task per file, so no read task splits its output and
+        # Ray fuses the read into the stage after it; fewer files than
+        # CPUs are split, so a one-file input keeps its parallelism
+        ds = read_pages(files, override_num_blocks=max(len(files), _cluster_cpus()))
+        if route is None:
+            route = _stale_filter(source, files)
+    else:
+        ds = source
     if route is None:
         ds = dedup_latest(ds)
         route = StaleRoute()
@@ -472,7 +490,7 @@ def extract_pipeline(
         resolved = dedup_latest(
             maybe, EXTRACT_INPUT.append(pa.field("path", pa.string()))
         ).map_batches(
-            _make_keep_files(_source_files(source)),
+            _make_keep_files(files),
             batch_format="pyarrow", num_cpus=0.5,
         )
         ds = unique.union(resolved)
@@ -493,6 +511,8 @@ def extract_pipeline(
     # emitting finished doc rows — unit of work = document, no intermediate
     # serialization, no output exchange.  An instance, not the class: Ray
     # runs it on the task pool, fused with the write (and with drop_stale).
+    # Each call takes a whole block: a batch size would stop Ray fusing
+    # the read into the stage (Ray requires one on a GPU stage only).
     return ds.map_batches(
         DocProcessor(
             model=model, zoom=zoom, thresholds=thresholds,
@@ -500,7 +520,7 @@ def extract_pipeline(
             output=output,
         ),
         batch_format="pyarrow",
-        batch_size=batch_size,
+        batch_size=_GPU_BATCH_SIZE if num_gpus else None,
         **detector_resources,
     )
 

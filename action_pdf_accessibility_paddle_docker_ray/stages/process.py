@@ -12,8 +12,10 @@ formula per formula, table models per table — /root/reference/src/ai.py:72-79,
 169-179, 279-308).  Here the deterministic stub detector
 (``functions/sdoc.stub_detect``) stands in for the model, so a
 ``DocProcessor`` carries only its config (model name, zoom, thresholds):
-the flagship passes an instance to ``map_batches`` and Ray runs it as
-tasks, fused with the write (and the dict route's stale step).  No stage holds
+the flagship passes an instance to ``map_batches`` with no batch size and
+Ray runs it as tasks, one call per block, fused with the write, the dict
+route's stale step and, on an input of at least as many files as CPUs,
+the parquet read (one task per file).  No stage holds
 per-worker state until real weights exist; when they do, ``__init__`` is
 where they load, and the class goes back to an actor pool
 (``fn_constructor_kwargs``), the north star's GPU-pinned batched-inference

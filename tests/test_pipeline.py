@@ -39,12 +39,20 @@ def test_pipeline_matches_oracle_byte_identically(ray_session, pages_path):
         assert row.formulas_json == json.dumps(g["formulas"], sort_keys=True)
 
 
-def test_pipeline_deterministic_across_parallelism(ray_session, pages_path):
-    """Same output at different batch sizes, so different task splits
+def test_pipeline_deterministic_across_parallelism(ray_session, pages_path, tmp_path):
+    """Same output from the same rows as 1 file (the read is split across
+    tasks) and as 8 files (one fused task per file): different task splits
     (SURVEY.md §4 determinism row)."""
-    path, _ = pages_path
-    a = extract_pipeline(path, batch_size=16).to_pandas()
-    b = extract_pipeline(path, batch_size=128).to_pandas()
+    _, table = pages_path
+    one, eight = tmp_path / "one", tmp_path / "eight"
+    one.mkdir()
+    eight.mkdir()
+    pq.write_table(table, str(one / "part-0.parquet"))
+    per_file = -(-table.num_rows // 8)
+    for f in range(8):
+        pq.write_table(table.slice(f * per_file, per_file), str(eight / f"part-{f}.parquet"))
+    a = extract_pipeline(str(one)).to_pandas()
+    b = extract_pipeline(str(eight)).to_pandas()
     a = a.sort_values("url").reset_index(drop=True)
     b = b.sort_values("url").reset_index(drop=True)
     assert a.equals(b)

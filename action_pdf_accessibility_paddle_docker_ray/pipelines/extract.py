@@ -27,10 +27,15 @@ its rows.
 Scale design notes (100 TB / multi-node):
 - columns pruned at the read: only (url, warc_ts, html) leave storage;
 - skew: a document is never split, and the dispatch unit is one input
-  file (one read block): a file of heavy documents is one long task, so
-  the straggler tail follows the file layout (ROADMAP item 3)
+  file (one read block), dispatched largest file first (on-disk bytes, a
+  cost known before any read), so the heaviest files start in the first
+  wave and the light ones fill in behind them; a single file of heavy
+  documents is still one long task (ROADMAP item 3)
   (reference: one sequential page loop per process,
   /root/reference/src/autotag.py:123-138);
+- slow start: the plan's block target is sized to its largest input
+  file (``_block_target``), so Ray's pre-first-output guess of each
+  task's output lets every CPU start at the first moment of a job;
 - no stage holds per-worker state: the stub detector is deterministic and
   ``DocProcessor`` carries only its config, so it runs on Ray's task pool
   instead of an actor pool that would claim CPUs for the whole job and
@@ -79,7 +84,11 @@ def _default_concurrency(reserve_div: int = 8) -> tuple[int, int]:
 
 
 _GPU_BATCH_SIZE = 8  # documents per call of a GPU-pinned DocProcessor stage
-_SMALL_INPUT_BYTES = 1 << 30  # below this, the winner scan is one task
+_SMALL_INPUT_BYTES = 1 << 30  # below this, the calling process runs the winner scan
+# block target per uncompressed byte of the largest input file, and its
+# floor (``_block_target``)
+_BLOCK_TARGET_PER_FOOTER_BYTE = 2
+_MIN_BLOCK_TARGET = 1 << 20
 # broadcast bound: above this many duplicated urls the per-worker winner map
 # stops being "small side" as a Python dict; the pipeline switches to the
 # BLOOM route — broadcast a fixed-size bit filter of the dup urls, stream
@@ -194,10 +203,40 @@ def _tie_keys_scan(path: list, dups) -> "tuple[dict, int] | None":
 
 
 def _source_files(source: "str | list") -> list:
-    """Absolute paths of the parquet files under ``source``."""
+    """Absolute paths of the parquet files under ``source``, largest first
+    (on-disk bytes, ties by name): the order the read dispatches its one
+    task per file, so the heaviest files start in the first wave."""
     import pyarrow.dataset as pads
 
-    return [os.path.abspath(f) for f in pads.dataset(source).files]
+    files = [os.path.abspath(f) for f in pads.dataset(source).files]
+    return sorted(files, key=lambda f: (-os.path.getsize(f), f))
+
+
+def _block_target(largest_file: str, cap: "int | None") -> int:
+    """``target_max_block_size`` for a path source's plan: twice the
+    uncompressed bytes in ``largest_file``'s parquet footer, at least
+    1 MiB and at most ``cap``.
+
+    Until an operator's first task returns, Ray guesses each task's
+    pending output at 2 × the target and launches only as many tasks as
+    that guess fits the operator's object-store budget: Ray's 128 MiB
+    default fits one task in a 512 MiB store's budget, so one task ran
+    alone at the start of every job.  An input-sized target lets every
+    CPU start at once.  It must still exceed Ray's in-memory estimate of
+    a file (the footer bytes scaled by a sampled ratio that Ray floors at
+    1; exactly 1 on the benchmark's inputs) by a margin: Ray counts a
+    file whose estimate is
+    over 1.5 × the target as several blocks, and on an input of fewer
+    files than CPUs those blocks take the place of the read split, so the
+    read fuses into the stage after it and the files run one task each.
+    On-disk bytes cannot stand in for the footer: compressible HTML was
+    20× larger in memory than on disk."""
+    import pyarrow.parquet as pq
+
+    meta = pq.read_metadata(largest_file)
+    footer = sum(meta.row_group(i).total_byte_size for i in range(meta.num_row_groups))
+    target = max(_BLOCK_TARGET_PER_FOOTER_BYTE * footer, _MIN_BLOCK_TARGET)
+    return target if cap is None else min(target, cap)
 
 
 def _stale_filter(source: "str | list", files: list | None = None) -> StaleRoute:
@@ -207,8 +246,9 @@ def _stale_filter(source: "str | list", files: list | None = None) -> StaleRoute
     (~1% of the bytes); the html of the tied urls alone is read back
     through an ``isin`` pushdown and hashed.
 
-    Small inputs (≤1 GiB): one Ray task does the columnar scan + pandas
-    groupby (no sub-pipeline startup).  Large inputs: a distributed
+    Small inputs (≤1 GiB): the calling process does the columnar scan +
+    pandas groupby (no task or sub-pipeline startup; the (url, warc_ts)
+    columns are ~1% of the bytes).  Large inputs: a distributed
     per-batch partial aggregate + one grouped merge over (url, partial)
     rows; the dup and tie counts are computed DISTRIBUTED, so nothing
     bigger than a per-block count row reaches the driver until the winner
@@ -234,17 +274,13 @@ def _stale_filter(source: "str | list", files: list | None = None) -> StaleRoute
     bound = _WINNER_BROADCAST_MAX
 
     if total_bytes <= _SMALL_INPUT_BYTES:
-        @ray.remote(num_cpus=1)
-        def scan_winners(path: list, bound: int):
-            import pyarrow.dataset as pads2
+        import pyarrow.dataset as pads
 
-            t = pads2.dataset(path).to_table(columns=["url", "warc_ts"])
-            out = _winner_partials(t.to_pandas())
-            dups = out[out["n"] > 1]
-            # over the bound the Bloom route resolves ties itself
-            return dups, _tie_keys_scan(path, dups) if len(dups) <= bound else None
-
-        dups, ties = ray.get(scan_winners.remote(files, bound))
+        t = pads.dataset(files).to_table(columns=["url", "warc_ts"])
+        out = _winner_partials(t.to_pandas())
+        dups = out[out["n"] > 1]
+        # over the bound the Bloom route resolves ties itself
+        ties = _tie_keys_scan(files, dups) if len(dups) <= bound else None
         n_dups, n_tied = len(dups), int((dups["n_at_max"] > 1).sum())
         dups_ds = None
     else:
@@ -420,10 +456,14 @@ def extract_pipeline(
     One plan: read → one stale-crawl step → ``DocProcessor`` task stage →
     (the caller's) write.  A path source is read one task per file
     (``override_num_blocks`` = the file count, or the CPU count when that
-    is larger, which splits the files instead) and each ``DocProcessor``
-    call takes a whole block, so with at least as many files as CPUs Ray
-    fuses the read, the dict route's ``drop_stale``, ``DocProcessor`` and
-    the write into one task per file.  The Bloom route's union, a Dataset
+    is larger, which splits the files instead), largest file first, and
+    each ``DocProcessor`` call takes a whole block, so with at least as
+    many files as CPUs Ray fuses the read, the dict route's
+    ``drop_stale``, ``DocProcessor`` and the write into one task per file.
+    The plan's own ``DataContext`` (``ds.context``, a copy: the caller's
+    is left as it was) gets a ``target_max_block_size`` sized to the
+    largest input file (``_block_target``), so every CPU gets a task from
+    the first moment of the job.  The Bloom route's union, a Dataset
     source's ``Sort`` and a GPU-pinned stage keep their operator
     boundaries.  ``DocProcessor`` runs as tasks because no stage holds
     per-worker state until real model weights exist: a job then starts no
@@ -457,10 +497,16 @@ def extract_pipeline(
     route = _winners_ref
     if isinstance(source, (str, list)):
         files = _source_files(source)
-        # one read task per file, so no read task splits its output and
-        # Ray fuses the read into the stage after it; fewer files than
-        # CPUs are split, so a one-file input keeps its parallelism
+        # one read task per file (dispatched in ``files`` order, largest
+        # first), so no read task splits its output and Ray fuses the read
+        # into the stage after it; fewer files than CPUs are split, so a
+        # one-file input keeps its parallelism
         ds = read_pages(files, override_num_blocks=max(len(files), _cluster_cpus()))
+        # the plan's own context (a copy; the caller's stays as it was):
+        # an input-sized block target lets every CPU start at once
+        ds.context.target_max_block_size = _block_target(
+            files[0], ds.context.target_max_block_size
+        )
         if route is None:
             route = _stale_filter(source, files)
     else:

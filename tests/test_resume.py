@@ -172,7 +172,8 @@ def test_metrics_report_wall_counts_the_winner_scan(ray_session, tmp_path, monke
     outer = time.time() - t0
     report = metrics_report(out)
     chunk_walls = sum(c["wall_sec"] for c in report["per_chunk"].values())
-    assert chunk_walls + 1.0 <= report["wall_sec"] <= outer
+    # the report rounds walls to the millisecond; rounding keeps the order
+    assert chunk_walls + 1.0 <= report["wall_sec"] <= round(outer, 3)
 
 
 def test_output_report(ray_session, tmp_path):
